@@ -1,6 +1,7 @@
 // M1 — google-benchmark micro-benchmarks of the substrate hot paths: SHA-1
-// identifier derivation, 160-bit ring arithmetic, Chord lookups, local
-// table operations, Zipf sampling and query parsing. Not a paper figure;
+// identifier derivation, 160-bit ring arithmetic, Chord lookups and the
+// per-hop routing decision and id resolution, local table operations, Zipf
+// sampling and query parsing. Not a paper figure;
 // establishes that the simulator is fast enough for the figure sweeps.
 
 #include <benchmark/benchmark.h>
@@ -55,6 +56,38 @@ void BM_ChordLookup(benchmark::State& state) {
       network.stats().total_hops() / std::max<uint64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_ChordLookup)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One recursive-routing decision (what every overlay hop pays once) on a
+// 10^4-node ideal ring, toward random targets from random nodes.
+void BM_NextHopFor(benchmark::State& state) {
+  sim::Simulator simulator;
+  chord::Network network(&simulator);
+  auto nodes = network.BuildIdealRing(10000);
+  Rng rng(2);
+  std::vector<chord::NodeId> targets;
+  for (int i = 0; i < 4096; ++i) {
+    targets.push_back(HashKey("t" + std::to_string(i)));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    chord::Node* origin = nodes[rng.NextBelow(nodes.size())];
+    benchmark::DoNotOptimize(origin->NextHopFor(targets[i++ & 4095]));
+  }
+}
+BENCHMARK(BM_NextHopFor);
+
+// Exact-identifier resolution of a hop's destination (Network::FindById).
+void BM_FindById(benchmark::State& state) {
+  sim::Simulator simulator;
+  chord::Network network(&simulator);
+  auto nodes = network.BuildIdealRing(static_cast<size_t>(state.range(0)));
+  Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        network.FindById(nodes[rng.NextBelow(nodes.size())]->id()));
+  }
+}
+BENCHMARK(BM_FindById)->Arg(1024)->Arg(10000);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(100000, 0.9);

@@ -40,6 +40,7 @@ Node* Network::CreateNode(const std::string& key) {
   Node* raw = node.get();
   auto [it, inserted] = by_id_.emplace(raw->id(), raw);
   CJ_CHECK(inserted) << "identifier collision for key '" << key << "'";
+  id_index_.emplace(raw->id(), raw);
   nodes_.push_back(std::move(node));
   return raw;
 }
@@ -221,8 +222,23 @@ void Network::CloseCoalescingBuffers() {
       open_buffers.end());
 }
 
-void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
-                       std::function<void()> action) {
+template <typename Action>
+void Network::ScheduleDelivery(Node* to, sim::MsgClass cls,
+                               sim::SimTime latency, Action action) {
+  simulator_->ScheduleSharded(latency, to->serial(),
+                              [this, to, cls,
+                               action = std::move(action)]() mutable {
+                                if (!to->alive()) {
+                                  stats_.AddDrop(cls);
+                                  return;
+                                }
+                                action();
+                              });
+}
+
+template <typename Action>
+void Network::TransmitAction(Node* from, Node* to, sim::MsgClass cls,
+                             Action action) {
   stats_.AddHop(cls);
   if (to == nullptr || !to->alive()) {
     stats_.AddDrop(cls);
@@ -246,43 +262,33 @@ void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
       // The duplicate is real traffic: one more hop, delivered at the same
       // time as the original (delivery still re-checks liveness).
       stats_.AddHop(cls);
-      simulator_->ScheduleSharded(latency, to->serial(),
-                                  [this, to, cls, action]() {
-                                    if (!to->alive()) {
-                                      stats_.AddDrop(cls);
-                                      return;
-                                    }
-                                    action();
-                                  });
+      ScheduleDelivery(to, cls, latency, action);
     }
     if (fate.extra_delay > 0) {
       // Delayed messages ride alone so the perturbed latency stays visible
       // per message.
-      simulator_->ScheduleSharded(latency, to->serial(),
-                                  [this, to, cls,
-                                   action = std::move(action)]() {
-                                    if (!to->alive()) {
-                                      stats_.AddDrop(cls);
-                                      return;
-                                    }
-                                    action();
-                                  });
+      ScheduleDelivery(to, cls, latency, std::move(action));
       return;
     }
   }
   if (options_.coalesce && simulator_->InExecution()) {
-    AppendCoalesced(to, cls, latency, std::move(action));
+    AppendCoalesced(to, cls, latency,
+                    std::function<void()>(std::move(action)));
     return;
   }
-  simulator_->ScheduleSharded(latency, to->serial(),
-                              [this, to, cls,
-                               action = std::move(action)]() {
-                                if (!to->alive()) {
-                                  stats_.AddDrop(cls);
-                                  return;
-                                }
-                                action();
-                              });
+  ScheduleDelivery(to, cls, latency, std::move(action));
+}
+
+void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
+                       std::function<void()> action) {
+  TransmitAction(from, to, cls, std::move(action));
+}
+
+void Network::TransmitFrame(Node* from, Node* to, HopFrame frame) {
+  const sim::MsgClass cls = frame.cls;
+  TransmitAction(from, to, cls, [to, frame = std::move(frame)]() mutable {
+    to->ApplyHop(std::move(frame));
+  });
 }
 
 }  // namespace contjoin::chord

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chord/node.h"
@@ -85,12 +86,13 @@ class Network {
   Node* OracleSuccessor(const NodeId& id) const;
 
   /// Exact-identifier lookup over every node ever created (dead included).
-  /// Read-only over a map that only grows at serial time, so event
-  /// handlers on any shard may call it (the reliability layer routes acks
-  /// to origins by identifier through here).
+  /// Read-only over a hash index that only grows at serial time (in
+  /// CreateNode), so event handlers on any shard may call it without locks
+  /// (every typed hop resolves its destination here, and the reliability
+  /// layer routes acks to origins by identifier).
   Node* FindById(const NodeId& id) const {
-    auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
+    auto it = id_index_.find(id);
+    return it == id_index_.end() ? nullptr : it->second;
   }
 
   std::vector<Node*> AliveNodes() const;
@@ -125,6 +127,12 @@ class Network {
   /// result sinks); protocol hops travel as typed frames via TransmitHop.
   void Transmit(Node* from, Node* to, sim::MsgClass cls,
                 std::function<void()> action);
+
+  /// One typed overlay hop inside the simulator: exactly Transmit's
+  /// accounting, fault injection, coalescing and scheduling, with `to`
+  /// executing `frame` via Node::ApplyHop on arrival. The frame rides in the
+  /// scheduled event itself (one closure per hop).
+  void TransmitFrame(Node* from, Node* to, HopFrame frame);
 
   /// Ships one typed overlay hop to the node with identifier `to` through
   /// the installed transport (the one true send path for protocol
@@ -176,7 +184,27 @@ class Network {
   }
 
  private:
+  /// Hash for the id index. Node identifiers are SHA-1 digests, so their
+  /// low 64 bits are already uniformly spread.
+  struct IdIndexHash {
+    size_t operator()(const NodeId& id) const {
+      return static_cast<size_t>(id.Low64());
+    }
+  };
+
   void WireIdeal(const std::vector<Node*>& sorted);
+
+  /// Transmit and TransmitFrame, generic over the delivered callable so a
+  /// frame is captured by value in the scheduled event.
+  template <typename Action>
+  void TransmitAction(Node* from, Node* to, sim::MsgClass cls,
+                      Action action);
+
+  /// Schedules `action` on `to`'s shard after `latency`; on arrival a dead
+  /// destination drops the message (counted) instead of running it.
+  template <typename Action>
+  void ScheduleDelivery(Node* to, sim::MsgClass cls, sim::SimTime latency,
+                        Action action);
 
   /// Appends `action` to the calling thread's open buffer for (to, cls,
   /// latency), opening the buffer (and scheduling its single flush event)
@@ -194,7 +222,10 @@ class Network {
   sim::NetStats stats_;
   faults::FaultPlan* fault_plan_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<NodeId, Node*> by_id_;  // All nodes ever created, dead included.
+  // All nodes ever created, dead included: ordered for the clockwise
+  // OracleSuccessor scan, hashed for the per-hop FindById.
+  std::map<NodeId, Node*> by_id_;
+  std::unordered_map<NodeId, Node*, IdIndexHash> id_index_;
   size_t alive_count_ = 0;
   uint64_t next_ip_ = 1;
   uint64_t next_key_serial_ = 0;

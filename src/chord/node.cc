@@ -29,6 +29,7 @@ Node* Node::FirstAliveSuccessor() const {
   return nullptr;
 }
 
+// contjoin-check: hot
 bool Node::IsResponsibleFor(const NodeId& target) const {
   if (predecessor_ != nullptr && predecessor_->alive()) {
     return target.InOpenClosed(predecessor_->id(), id_);
@@ -213,13 +214,20 @@ Node* Node::FindSuccessor(const NodeId& target, sim::MsgClass cls) {
   return nullptr;
 }
 
+// contjoin-check: hot
 Node* Node::ClosestPrecedingFinger(const NodeId& target) {
+  // Runs of adjacent slots usually hold the same node (in an N-node ring
+  // only ~log2 N of the 160 are distinct), so a slot equal to the one just
+  // rejected is skipped: each distinct finger is tested once per run.
+  Node* rejected = nullptr;
   for (int i = Uint160::kBits - 1; i >= 0; --i) {
     Node* f = fingers_[static_cast<size_t>(i)];
+    if (f == rejected) continue;
     if (f != nullptr && f->alive() && f != this &&
         f->id().InOpenOpen(id_, target)) {
       return f;
     }
+    rejected = f;
   }
   // Fall back on the farthest qualifying successor-list entry.
   Node* best = nullptr;
@@ -236,6 +244,7 @@ Node* Node::ClosestPrecedingFinger(const NodeId& target) {
   return best;
 }
 
+// contjoin-check: hot
 Node* Node::NextHopFor(const NodeId& target) {
   Node* succ = successor();
   if (succ == nullptr) return nullptr;
@@ -245,27 +254,9 @@ Node* Node::NextHopFor(const NodeId& target) {
 }
 
 void Node::Send(AppMessage msg) {
-  RouteMessage(std::move(msg), network_->options().max_route_hops);
-}
-
-void Node::RouteMessage(AppMessage msg, int ttl) {
-  if (!alive_) {
-    network_->CountDrop(msg.cls);
-    return;
-  }
-  if (IsResponsibleFor(msg.target)) {
-    DeliverLocal(msg);
-    return;
-  }
-  if (ttl <= 0) {
-    network_->CountDrop(msg.cls);
-    return;
-  }
-  Node* next = NextHopFor(msg.target);
-  if (next == nullptr || next == this) {
-    network_->CountDrop(msg.cls);
-    return;
-  }
+  const int ttl = network_->options().max_route_hops;
+  Node* next = RouteStep(msg, ttl);
+  if (next == nullptr) return;
   HopFrame frame;
   frame.kind = HopFrame::Kind::kRoute;
   frame.cls = msg.cls;
@@ -274,53 +265,78 @@ void Node::RouteMessage(AppMessage msg, int ttl) {
   network_->TransmitHop(this, next->id(), std::move(frame));
 }
 
-void Node::Multisend(std::vector<AppMessage> msgs, sim::MsgClass cls) {
-  if (msgs.empty()) return;
-  HandleBatch(std::move(msgs), cls, network_->options().max_route_hops);
+Node* Node::RouteStep(const AppMessage& msg, int ttl) {
+  if (!alive_) {
+    network_->CountDrop(msg.cls);
+    return nullptr;
+  }
+  if (IsResponsibleFor(msg.target)) {
+    DeliverLocal(msg);
+    return nullptr;
+  }
+  if (ttl <= 0) {
+    network_->CountDrop(msg.cls);
+    return nullptr;
+  }
+  Node* next = NextHopFor(msg.target);
+  if (next == nullptr || next == this) {
+    network_->CountDrop(msg.cls);
+    return nullptr;
+  }
+  return next;
 }
 
-void Node::HandleBatch(std::vector<AppMessage> batch, sim::MsgClass cls,
-                       int ttl) {
+void Node::Multisend(std::vector<AppMessage> msgs, sim::MsgClass cls) {
+  if (msgs.empty()) return;
+  HopFrame frame;
+  frame.kind = HopFrame::Kind::kBatch;
+  frame.cls = cls;
+  frame.ttl = network_->options().max_route_hops;
+  frame.msgs = std::move(msgs);
+  HandleBatch(std::move(frame));
+}
+
+// contjoin-check: hot
+void Node::HandleBatch(HopFrame frame) {
   if (!alive_) {
-    network_->CountDrop(cls);
+    network_->CountDrop(frame.cls);
     return;
   }
-  // Consume every message we are responsible for; keep the rest.
-  std::vector<AppMessage> remaining;
-  remaining.reserve(batch.size());
-  for (AppMessage& msg : batch) {
-    if (IsResponsibleFor(msg.target)) {
-      DeliverLocal(msg);
+  // Consume every message we are responsible for and compact the rest to
+  // the front, in their original order.
+  std::vector<AppMessage>& batch = frame.msgs;
+  size_t kept = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (IsResponsibleFor(batch[i].target)) {
+      DeliverLocal(batch[i]);
     } else {
-      remaining.push_back(std::move(msg));
+      if (kept != i) batch[kept] = std::move(batch[i]);
+      ++kept;
     }
   }
-  if (remaining.empty()) return;
-  if (ttl <= 0) {
-    network_->CountDrop(cls);
+  batch.resize(kept);
+  if (batch.empty()) return;
+  if (frame.ttl <= 0) {
+    network_->CountDrop(frame.cls);
     return;
   }
   // Head = the remaining target nearest clockwise from here (the batch was
   // implicitly sorted by consumption; recomputing keeps this robust).
   size_t head = 0;
-  Uint160 head_dist = remaining[0].target - id_;
-  for (size_t i = 1; i < remaining.size(); ++i) {
-    Uint160 dist = remaining[i].target - id_;
+  Uint160 head_dist = batch[0].target - id_;
+  for (size_t i = 1; i < batch.size(); ++i) {
+    Uint160 dist = batch[i].target - id_;
     if (dist < head_dist) {
       head_dist = dist;
       head = i;
     }
   }
-  Node* next = NextHopFor(remaining[head].target);
+  Node* next = NextHopFor(batch[head].target);
   if (next == nullptr || next == this) {
-    network_->CountDrop(cls);
+    network_->CountDrop(frame.cls);
     return;
   }
-  HopFrame frame;
-  frame.kind = HopFrame::Kind::kBatch;
-  frame.cls = cls;
-  frame.ttl = ttl - 1;
-  frame.msgs = std::move(remaining);
+  --frame.ttl;
   network_->TransmitHop(this, next->id(), std::move(frame));
 }
 
@@ -339,16 +355,22 @@ void Node::MultisendIterative(std::vector<AppMessage> msgs) {
   }
 }
 
+// contjoin-check: hot
 void Node::ApplyHop(HopFrame frame) {
   switch (frame.kind) {
-    case HopFrame::Kind::kRoute:
-      RouteMessage(std::move(frame.msgs[0]), frame.ttl);
+    case HopFrame::Kind::kRoute: {
+      // Forward the received frame itself, one hop of budget spent.
+      Node* next = RouteStep(frame.msgs[0], frame.ttl);
+      if (next == nullptr) return;
+      --frame.ttl;
+      network_->TransmitHop(this, next->id(), std::move(frame));
       return;
+    }
     case HopFrame::Kind::kDeliver:
       DeliverLocal(frame.msgs[0]);
       return;
     case HopFrame::Kind::kBatch:
-      HandleBatch(std::move(frame.msgs), frame.cls, frame.ttl);
+      HandleBatch(std::move(frame));
       return;
     case HopFrame::Kind::kBroadcast: {
       AppMessage local;

@@ -113,6 +113,11 @@ class Node {
   /// `target`; nullptr when none qualifies.
   Node* ClosestPrecedingFinger(const NodeId& target);
 
+  /// Next recursive-routing hop toward `target`: the successor if target
+  /// is in (self, succ], else the closest preceding finger (falling back on
+  /// the successor). nullptr only when no successor is alive.
+  Node* NextHopFor(const NodeId& target);
+
   // --- Extended API (paper §2.3) ---------------------------------------------
 
   /// send(msg, I): routes recursively to Successor(msg.target); each forward
@@ -185,19 +190,19 @@ class Node {
  private:
   friend class Network;
 
-  /// Recursive routing step with a hop budget.
-  void RouteMessage(AppMessage msg, int ttl);
+  /// Recursive routing step with `ttl` hops of budget left: delivers `msg`
+  /// here if this node owns its target, drops it (counted) when routing
+  /// cannot continue, and otherwise returns the next hop. Returns nullptr
+  /// when the message was consumed either way.
+  Node* RouteStep(const AppMessage& msg, int ttl);
 
-  /// Recursive multisend step: consume what we own, forward the rest.
-  void HandleBatch(std::vector<AppMessage> batch, sim::MsgClass cls, int ttl);
+  /// Recursive multisend step over a kBatch frame: consume what we own,
+  /// forward the rest in the same frame.
+  void HandleBatch(HopFrame frame);
 
   /// Broadcast recursion: forward to fingers covering (self, limit).
   void BroadcastRange(const PayloadPtr& payload, sim::MsgClass cls,
                       const NodeId& limit);
-
-  /// Next hop toward `target` (successor if target in (self, succ], else the
-  /// closest preceding finger).
-  Node* NextHopFor(const NodeId& target);
 
   /// Rebuilds the successor list from the current successor's list.
   void RefreshSuccessorList();

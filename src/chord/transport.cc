@@ -7,16 +7,11 @@
 
 namespace contjoin::chord {
 
+// contjoin-check: hot
 void SimTransport::SendHop(Node* from, const NodeId& to, HopFrame frame) {
-  // Exact-identifier resolution (dead nodes included): Transmit counts the
-  // hop and drops on a dead or unknown destination, exactly as the closure
-  // path always did.
-  Node* dest = network_->FindById(to);
-  sim::MsgClass cls = frame.cls;
-  network_->Transmit(from, dest, cls,
-                     [dest, frame = std::move(frame)]() mutable {
-                       dest->ApplyHop(std::move(frame));
-                     });
+  // Exact-identifier resolution (dead nodes included): TransmitFrame counts
+  // the hop and drops on a dead or unknown destination.
+  network_->TransmitFrame(from, network_->FindById(to), std::move(frame));
 }
 
 }  // namespace contjoin::chord

@@ -1,7 +1,7 @@
 // The transport seam: every typed overlay hop (HopFrame) leaves the
 // routing layer through a Transport. SimTransport keeps today's
 // deterministic in-simulator semantics bit-for-bit (hop accounting, fault
-// injection, destination-shard scheduling all stay in Network::Transmit);
+// injection, destination-shard scheduling all stay in Network);
 // a socket transport ships the encoded frame to the process owning the
 // destination node instead. Frame encoding itself lives above this layer
 // (core/codec) and is injected where a transport needs bytes, keeping the
@@ -34,10 +34,10 @@ class Transport {
 };
 
 /// The discrete-event implementation: resolves `to` through the network's
-/// node table and delegates to Network::Transmit, which is where hop
-/// counting, fault injection, coalescing and destination-shard scheduling
-/// have always lived — runs over this transport are bit-identical to the
-/// pre-seam engine.
+/// id index and delegates to Network::TransmitFrame, which applies
+/// Network::Transmit's hop counting, fault injection, coalescing and
+/// destination-shard scheduling — runs over this transport are
+/// bit-identical to the pre-seam engine.
 class SimTransport : public Transport {
  public:
   explicit SimTransport(Network* network) : network_(network) {}

@@ -90,22 +90,6 @@ Uint160 Uint160::operator-(const Uint160& other) const {
   return out;  // Borrow out of the top word wraps (mod 2^160).
 }
 
-bool Uint160::InOpenClosed(const Uint160& a, const Uint160& b) const {
-  if (a == b) return true;  // Full circle.
-  // Clockwise distances from a: x is in (a, b] iff 0 < dist(a,x) <=
-  // dist(a,b).
-  Uint160 dx = *this - a;
-  Uint160 db = b - a;
-  return dx > Uint160() && dx <= db;
-}
-
-bool Uint160::InOpenOpen(const Uint160& a, const Uint160& b) const {
-  if (a == b) return *this != a;  // Full circle minus the endpoint.
-  Uint160 dx = *this - a;
-  Uint160 db = b - a;
-  return dx > Uint160() && dx < db;
-}
-
 std::string Uint160::ToHex() const {
   static const char kHex[] = "0123456789abcdef";
   std::string out;

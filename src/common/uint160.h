@@ -52,14 +52,12 @@ class Uint160 {
   Uint160& operator-=(const Uint160& other) { return *this = *this - other; }
 
   bool operator==(const Uint160& other) const = default;
+  /// Numeric order: the two most-significant 64-bit halves, then the last
+  /// word.
   std::strong_ordering operator<=>(const Uint160& other) const {
-    for (int i = 0; i < 5; ++i) {
-      if (words_[i] != other.words_[i]) {
-        return words_[i] < other.words_[i] ? std::strong_ordering::less
-                                           : std::strong_ordering::greater;
-      }
-    }
-    return std::strong_ordering::equal;
+    if (auto c = High64() <=> other.High64(); c != 0) return c;
+    if (auto c = Mid64() <=> other.Mid64(); c != 0) return c;
+    return words_[4] <=> other.words_[4];
   }
 
   /// Clockwise ring distance from `from` to *this (how far one travels
@@ -72,11 +70,24 @@ class Uint160 {
   /// True iff *this lies in the ring interval (a, b] travelling clockwise.
   /// By Chord convention, (a, a] is the full ring: every identifier except
   /// none — i.e., always true (travelling the whole circle).
-  bool InOpenClosed(const Uint160& a, const Uint160& b) const;
+  ///
+  /// Decided by ordering alone: for a < b the interval is the plain range;
+  /// for a > b it wraps through zero and is the union of (a, Max] and
+  /// [0, b]. This is the same set as 0 < *this - a <= b - a, without the
+  /// two 160-bit subtractions.
+  bool InOpenClosed(const Uint160& a, const Uint160& b) const {
+    if (a < b) return a < *this && *this <= b;
+    if (b < a) return a < *this || *this <= b;
+    return true;  // Full circle.
+  }
 
   /// True iff *this lies in the ring interval (a, b) travelling clockwise.
   /// (a, a) is the full ring minus a itself.
-  bool InOpenOpen(const Uint160& a, const Uint160& b) const;
+  bool InOpenOpen(const Uint160& a, const Uint160& b) const {
+    if (a < b) return a < *this && *this < b;
+    if (b < a) return a < *this || *this < b;
+    return *this != a;  // Full circle minus the endpoint.
+  }
 
   /// 40 lowercase hex characters.
   std::string ToHex() const;
@@ -96,6 +107,14 @@ class Uint160 {
   size_t HashValue() const;
 
  private:
+  /// Words 0-1 and 2-3 as 64-bit integers (the ordering keys).
+  uint64_t High64() const {
+    return (static_cast<uint64_t>(words_[0]) << 32) | words_[1];
+  }
+  uint64_t Mid64() const {
+    return (static_cast<uint64_t>(words_[2]) << 32) | words_[3];
+  }
+
   std::array<uint32_t, 5> words_;
 };
 

@@ -40,7 +40,8 @@ void OccupySlots(ProtocolContext& ctx, chord::Node& evaluator,
 /// may have moved meanwhile). Returns true when the delivery may proceed
 /// now, in which case a slot has been occupied.
 bool AdmitDelivery(ProtocolContext& ctx, chord::Node& evaluator,
-                   const std::string& subscriber_key, uint64_t subscriber_ip,
+                   const std::string& subscriber_key,
+                   const chord::NodeId& subscriber_id, uint64_t subscriber_ip,
                    Notification& n) {
   const ServingOptions& serving = ctx.options().serving;
   if (!serving.backpressure) return true;
@@ -54,11 +55,12 @@ bool AdmitDelivery(ProtocolContext& ctx, chord::Node& evaluator,
   const chord::NodeId ev = evaluator.id();
   ctx.ScheduleAfter(
       evaluator, std::max<uint64_t>(1, serving.defer_delay),
-      [&ctx, ev, subscriber_key, subscriber_ip, n = std::move(n)]() mutable {
+      [&ctx, ev, subscriber_key, subscriber_id, subscriber_ip,
+       n = std::move(n)]() mutable {
         chord::Node* node = ctx.NodeById(ev);
         if (node == nullptr || !node->alive()) return;
-        DeliverNotification(ctx, *node, subscriber_key, subscriber_ip,
-                            std::move(n));
+        DeliverNotification(ctx, *node, subscriber_key, subscriber_id,
+                            subscriber_ip, std::move(n));
       });
   return false;
 }
@@ -80,10 +82,10 @@ chord::Node* ResolveTarget(ProtocolContext& ctx, State& ev_state,
 /// epoch) with the same local / direct / routed branching as a single
 /// notification.
 void SendDigest(ProtocolContext& ctx, chord::Node& evaluator,
-                const std::string& subscriber_key, uint64_t subscriber_ip,
+                const std::string& subscriber_key, const State::DigestAddr& to,
                 std::vector<Notification> notifications) {
   State& ev_state = ctx.StateOf(evaluator).subscriber;
-  uint64_t expect_ip = subscriber_ip;
+  uint64_t expect_ip = to.ip;
   chord::Node* target =
       ResolveTarget(ctx, ev_state, subscriber_key, &expect_ip);
 
@@ -97,7 +99,7 @@ void SendDigest(ProtocolContext& ctx, chord::Node& evaluator,
   payload->notifications = std::move(notifications);
   payload->subscriber_key = subscriber_key;
   chord::AppMessage msg;
-  msg.target = HashKey(subscriber_key);
+  msg.target = to.id;
   msg.cls = sim::MsgClass::kNotification;
   if (target != nullptr && target->alive() && target->ip() == expect_ip &&
       !ctx.options().reliability.enabled) {
@@ -125,7 +127,8 @@ void SendDigest(ProtocolContext& ctx, chord::Node& evaluator,
 void FlushDigests(ProtocolContext& ctx, chord::Node& evaluator) {
   State& ev_state = ctx.StateOf(evaluator).subscriber;
   ev_state.digest_flush_scheduled = false;
-  std::map<std::string, std::pair<uint64_t, std::vector<Notification>>>
+  std::map<std::string,
+           std::pair<State::DigestAddr, std::vector<Notification>>>
       buffer;
   buffer.swap(ev_state.digest_buffer);
   if (!evaluator.alive()) return;  // Crashed between buffer and flush.
@@ -151,8 +154,8 @@ void EmitNotification(ProtocolContext& ctx, chord::Node& evaluator,
   n.later_pub = later;
   n.created_at = ctx.now();
   ++ctx.StateOf(evaluator).metrics.notifications_created;
-  DeliverNotification(ctx, evaluator, q.subscriber_key(), q.subscriber_ip(),
-                      std::move(n));
+  DeliverNotification(ctx, evaluator, q.subscriber_key(), q.subscriber_id(),
+                      q.subscriber_ip(), std::move(n));
 }
 
 void EmitMwNotification(ProtocolContext& ctx, chord::Node& evaluator,
@@ -169,20 +172,22 @@ void EmitMwNotification(ProtocolContext& ctx, chord::Node& evaluator,
   n.later_pub = later;
   n.created_at = ctx.now();
   ++ctx.StateOf(evaluator).metrics.notifications_created;
-  DeliverNotification(ctx, evaluator, q.subscriber_key(), q.subscriber_ip(),
-                      std::move(n));
+  DeliverNotification(ctx, evaluator, q.subscriber_key(), q.subscriber_id(),
+                      q.subscriber_ip(), std::move(n));
 }
 
 void DeliverNotification(ProtocolContext& ctx, chord::Node& evaluator,
                          const std::string& subscriber_key,
+                         const chord::NodeId& subscriber_id,
                          uint64_t subscriber_ip, Notification n) {
-  if (!AdmitDelivery(ctx, evaluator, subscriber_key, subscriber_ip, n)) {
+  if (!AdmitDelivery(ctx, evaluator, subscriber_key, subscriber_id,
+                     subscriber_ip, n)) {
     return;  // Shed, or deferred to a later epoch.
   }
   State& ev_state = ctx.StateOf(evaluator).subscriber;
   if (ctx.options().serving.fanout_batching) {
     auto& entry = ev_state.digest_buffer[subscriber_key];
-    entry.first = subscriber_ip;
+    entry.first = State::DigestAddr{subscriber_id, subscriber_ip};
     entry.second.push_back(std::move(n));
     if (!ev_state.digest_flush_scheduled) {
       ev_state.digest_flush_scheduled = true;
@@ -216,7 +221,7 @@ void DeliverNotification(ProtocolContext& ctx, chord::Node& evaluator,
     direct->notification = std::move(n);
     direct->subscriber_key = subscriber_key;
     chord::AppMessage out;
-    out.target = HashKey(subscriber_key);
+    out.target = subscriber_id;
     out.cls = sim::MsgClass::kNotification;
     out.payload = std::move(direct);
     ctx.TransmitMessage(evaluator, target->id(), std::move(out));
@@ -229,7 +234,7 @@ void DeliverNotification(ProtocolContext& ctx, chord::Node& evaluator,
   payload->subscriber_key = subscriber_key;
   payload->evaluator = evaluator.id();
   chord::AppMessage msg;
-  msg.target = HashKey(subscriber_key);
+  msg.target = subscriber_id;
   msg.cls = sim::MsgClass::kNotification;
   msg.payload = std::move(payload);
   if (ctx.options().reliability.enabled) {

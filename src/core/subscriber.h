@@ -36,11 +36,17 @@ struct State {
   // --- Serving extension (volatile evaluator-side state; a crash wipes it
   // like the index tables — buffered digests die with the process) --------
 
+  /// Where one subscriber's digest goes: its identifier (the query's
+  /// cached HashKey of the key) and the ip seen at emit time.
+  struct DigestAddr {
+    chord::NodeId id;
+    uint64_t ip = 0;
+  };
   /// Fan-out batching: notifications produced within the current epoch,
-  /// buffered per subscriber key (with the subscriber ip seen at emit
-  /// time) until the end-of-epoch flush. Ordered map: the flush iterates
-  /// it, and iteration order is part of the determinism contract.
-  std::map<std::string, std::pair<uint64_t, std::vector<Notification>>>
+  /// buffered per subscriber key until the end-of-epoch flush. Ordered
+  /// map: the flush iterates it, and iteration order is part of the
+  /// determinism contract.
+  std::map<std::string, std::pair<DigestAddr, std::vector<Notification>>>
       digest_buffer;
   bool digest_flush_scheduled = false;
 
@@ -59,8 +65,10 @@ void EmitMwNotification(ProtocolContext& ctx, chord::Node& evaluator,
 
 /// Delivery policy: local inbox, direct by IP (one hop), or routed to
 /// Successor(Id(n)) where it is delivered or stored (§4.6).
+/// `subscriber_id` is HashKey(subscriber_key), as cached on the query.
 void DeliverNotification(ProtocolContext& ctx, chord::Node& evaluator,
                          const std::string& subscriber_key,
+                         const chord::NodeId& subscriber_id,
                          uint64_t subscriber_ip, Notification n);
 
 /// Chord key transfer handed stored items to `node`: notifications

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "common/uint160.h"
 #include "query/query.h"
 #include "relational/schema.h"
 
@@ -78,7 +79,12 @@ class MwQuery {
   const std::string& key() const { return key_; }
   void set_key(std::string key) { key_ = std::move(key); }
   const std::string& subscriber_key() const { return subscriber_key_; }
-  void set_subscriber_key(std::string k) { subscriber_key_ = std::move(k); }
+  void set_subscriber_key(std::string k) {
+    subscriber_key_ = std::move(k);
+    subscriber_id_ = HashKey(subscriber_key_);
+  }
+  /// HashKey(subscriber_key()), cached (see ContinuousQuery).
+  const Uint160& subscriber_id() const { return subscriber_id_; }
   uint64_t subscriber_ip() const { return subscriber_ip_; }
   void set_subscriber_ip(uint64_t ip) { subscriber_ip_ = ip; }
   rel::Timestamp insertion_time() const { return insertion_time_; }
@@ -97,6 +103,7 @@ class MwQuery {
 
   std::string key_;
   std::string subscriber_key_;
+  Uint160 subscriber_id_ = HashKey(subscriber_key_);
   uint64_t subscriber_ip_ = 0;
   rel::Timestamp insertion_time_ = 0;
   std::string raw_sql_;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/uint160.h"
 #include "query/expr.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"
@@ -99,7 +100,14 @@ class ContinuousQuery {
   void set_key(std::string key) { key_ = std::move(key); }
 
   const std::string& subscriber_key() const { return subscriber_key_; }
-  void set_subscriber_key(std::string k) { subscriber_key_ = std::move(k); }
+  void set_subscriber_key(std::string k) {
+    subscriber_key_ = std::move(k);
+    subscriber_id_ = HashKey(subscriber_key_);
+  }
+
+  /// HashKey(subscriber_key()): the identifier notifications are routed to
+  /// (§4.6), hashed once here rather than per notification.
+  const Uint160& subscriber_id() const { return subscriber_id_; }
 
   uint64_t subscriber_ip() const { return subscriber_ip_; }
   void set_subscriber_ip(uint64_t ip) { subscriber_ip_ = ip; }
@@ -129,6 +137,7 @@ class ContinuousQuery {
 
   std::string key_;
   std::string subscriber_key_;
+  Uint160 subscriber_id_ = HashKey(subscriber_key_);
   uint64_t subscriber_ip_ = 0;
   rel::Timestamp insertion_time_ = 0;
   std::string raw_sql_;

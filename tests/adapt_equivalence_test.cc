@@ -256,7 +256,13 @@ std::vector<AdaptScenario> AllAdaptScenarios() {
   for (Algorithm alg : {Algorithm::kSai, Algorithm::kDaiQ, Algorithm::kDaiT,
                         Algorithm::kDaiV}) {
     for (double p : {0.0, 0.05}) {
-      out.push_back(AdaptScenario{alg, p});
+      // Value-initialise first so the padding after `algorithm` is zeroed:
+      // gtest names each case after the raw bytes of its parameter, and
+      // leftover stack bytes there made the names differ run to run.
+      AdaptScenario sc{};
+      sc.algorithm = alg;
+      sc.drop_prob = p;
+      out.push_back(sc);
     }
   }
   return out;

@@ -6,12 +6,36 @@
 #include <map>
 #include <set>
 
+#include "chord/transport.h"
 #include "chord_test_util.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace contjoin::chord {
 namespace {
+
+/// Captures shipped hops instead of delivering them, so a test can inspect
+/// the exact frame a node forwards.
+class RecordingTransport : public Transport {
+ public:
+  struct Sent {
+    Node* from;
+    NodeId to;
+    HopFrame frame;
+  };
+  void SendHop(Node* from, const NodeId& to, HopFrame frame) override {
+    sent.push_back(Sent{from, to, std::move(frame)});
+  }
+  std::vector<Sent> sent;
+};
+
+std::vector<int> TagsOf(const std::vector<AppMessage>& msgs) {
+  std::vector<int> tags;
+  for (const AppMessage& msg : msgs) {
+    tags.push_back(static_cast<const TaggedPayload*>(msg.payload.get())->tag);
+  }
+  return tags;
+}
 
 class MultisendTest : public ::testing::Test {
  protected:
@@ -159,6 +183,90 @@ TEST_F(MultisendTest, MultisendCostScalesWithBatchNotNaively) {
   }
   uint64_t separate = network_->stats().total_hops() - before;
   EXPECT_LT(batched, separate);
+}
+
+TEST_F(MultisendTest, MixedBatchDeliversLocalInOrderAndForwardsRestInOrder) {
+  Build(32);
+  Node* origin = nodes_[0];
+  const NodeId own = origin->id();
+  const NodeId just_after_pred =
+      origin->predecessor()->id() + Uint160::FromUint64(1);
+  std::vector<AppMessage> batch{
+      MakeMsg(nodes_[5]->id(), 0), MakeMsg(own, 1),
+      MakeMsg(nodes_[17]->id(), 2), MakeMsg(just_after_pred, 3),
+      MakeMsg(nodes_[9]->id(), 4), MakeMsg(own - Uint160::FromUint64(1), 5)};
+  for (size_t i : {0u, 2u, 4u}) {
+    ASSERT_FALSE(origin->IsResponsibleFor(batch[i].target));
+  }
+
+  RecordingTransport recorder;
+  network_->set_transport(&recorder);
+  origin->Multisend(batch, sim::MsgClass::kTupleIndex);
+  network_->set_transport(nullptr);
+
+  // Local targets are consumed at once, in batch order.
+  ASSERT_EQ(app_->deliveries.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(app_->deliveries[i].node, origin);
+    EXPECT_EQ(app_->deliveries[i].tag, static_cast<int>(2 * i + 1));
+  }
+  // The rest leave in one frame, in their original order, one hop spent.
+  ASSERT_EQ(recorder.sent.size(), 1u);
+  HopFrame& frame = recorder.sent[0].frame;
+  EXPECT_EQ(frame.kind, HopFrame::Kind::kBatch);
+  EXPECT_EQ(frame.cls, sim::MsgClass::kTupleIndex);
+  EXPECT_EQ(frame.ttl, network_->options().max_route_hops - 1);
+  EXPECT_EQ(TagsOf(frame.msgs), (std::vector<int>{0, 2, 4}));
+
+  // Shipping the forwarded frame completes the multisend at the oracle.
+  network_->sim_transport()->SendHop(origin, recorder.sent[0].to,
+                                     std::move(frame));
+  sim_.Run();
+  ASSERT_EQ(app_->deliveries.size(), 6u);
+  for (size_t i = 3; i < 6; ++i) {
+    EXPECT_EQ(app_->deliveries[i].node,
+              network_->OracleSuccessor(app_->deliveries[i].target));
+  }
+}
+
+TEST_F(MultisendTest, RouteWhoseTtlRunsOutDropsOnce) {
+  Build(64);
+  Node* origin = nodes_[0];
+  const NodeId target = origin->id() + Uint160::PowerOfTwo(159);
+  ASSERT_FALSE(origin->IsResponsibleFor(target));
+
+  HopFrame frame;
+  frame.kind = HopFrame::Kind::kRoute;
+  frame.cls = sim::MsgClass::kControl;
+  frame.ttl = 1;
+  frame.msgs.push_back(MakeMsg(target, 7));
+  RecordingTransport recorder;
+  network_->set_transport(&recorder);
+  origin->ApplyHop(std::move(frame));
+  network_->set_transport(nullptr);
+
+  // The last hop of budget is spent forwarding the same message.
+  ASSERT_EQ(recorder.sent.size(), 1u);
+  HopFrame& forwarded = recorder.sent[0].frame;
+  EXPECT_EQ(forwarded.kind, HopFrame::Kind::kRoute);
+  EXPECT_EQ(forwarded.ttl, 0);
+  ASSERT_EQ(forwarded.msgs.size(), 1u);
+  EXPECT_EQ(forwarded.msgs[0].target, target);
+  EXPECT_EQ(TagsOf(forwarded.msgs), std::vector<int>{7});
+
+  // The receiver does not own the target and has no budget left: exactly
+  // one drop, no further hop, no delivery.
+  Node* next = network_->FindById(recorder.sent[0].to);
+  ASSERT_NE(next, nullptr);
+  ASSERT_FALSE(next->IsResponsibleFor(target));
+  const uint64_t hops_before = network_->stats().total_hops();
+  const uint64_t drops_before = network_->stats().dropped();
+  next->ApplyHop(std::move(forwarded));
+  sim_.Run();
+  EXPECT_EQ(network_->stats().dropped() - drops_before, 1u);
+  EXPECT_EQ(network_->stats().dropped(sim::MsgClass::kControl), 1u);
+  EXPECT_EQ(network_->stats().total_hops(), hops_before);
+  EXPECT_TRUE(app_->deliveries.empty());
 }
 
 }  // namespace

@@ -12,6 +12,78 @@
 namespace contjoin::chord {
 namespace {
 
+// Reference routing: the plain scan of all 160 finger slots, highest
+// first, with the subtraction-based ring interval test, then the
+// successor-list fallback. Node's routing must pick the same nodes.
+bool ReferenceInOpenOpen(const NodeId& x, const NodeId& a, const NodeId& b) {
+  if (a == b) return x != a;
+  const Uint160 dx = x - a;
+  return dx != Uint160() && dx < b - a;
+}
+
+bool ReferenceInOpenClosed(const NodeId& x, const NodeId& a,
+                           const NodeId& b) {
+  if (a == b) return true;
+  const Uint160 dx = x - a;
+  return dx != Uint160() && dx <= b - a;
+}
+
+struct ReferenceCounts {
+  int dead_fingers = 0;        // Alive-check rejections in finger scans.
+  int successor_fallbacks = 0; // Answers taken from the successor list.
+};
+
+Node* ReferenceClosestPrecedingFinger(const Node& n, const NodeId& target,
+                                      ReferenceCounts* counts) {
+  for (int i = Uint160::kBits - 1; i >= 0; --i) {
+    Node* f = n.finger(i);
+    if (f == nullptr || f == &n) continue;
+    if (!f->alive()) {
+      ++counts->dead_fingers;
+      continue;
+    }
+    if (ReferenceInOpenOpen(f->id(), n.id(), target)) return f;
+  }
+  Node* best = nullptr;
+  Uint160 best_dist;
+  for (Node* s : n.successor_list()) {
+    if (s == nullptr || !s->alive() || s == &n) continue;
+    if (!ReferenceInOpenOpen(s->id(), n.id(), target)) continue;
+    const Uint160 dist = s->id() - n.id();
+    if (best == nullptr || dist > best_dist) {
+      best = s;
+      best_dist = dist;
+    }
+  }
+  if (best != nullptr) ++counts->successor_fallbacks;
+  return best;
+}
+
+Node* ReferenceNextHop(const Node& n, const NodeId& target,
+                       ReferenceCounts* counts) {
+  Node* succ = n.FirstAliveSuccessor();
+  if (succ == nullptr) return nullptr;
+  if (ReferenceInOpenClosed(target, n.id(), succ->id())) return succ;
+  Node* f = ReferenceClosestPrecedingFinger(n, target, counts);
+  return f != nullptr ? f : succ;
+}
+
+// Iterative lookup over the reference scan; `hops` counts remote probes.
+Node* ReferenceFindSuccessor(Node* start, const NodeId& target, int max_steps,
+                             ReferenceCounts* counts, uint64_t* hops) {
+  Node* cur = start;
+  for (int steps = 0; steps <= max_steps; ++steps) {
+    Node* succ = cur->FirstAliveSuccessor();
+    if (succ == nullptr) return nullptr;
+    if (ReferenceInOpenClosed(target, cur->id(), succ->id())) return succ;
+    Node* next = ReferenceClosestPrecedingFinger(*cur, target, counts);
+    if (next == nullptr || next == cur) next = succ;
+    ++*hops;
+    cur = next;
+  }
+  return nullptr;
+}
+
 class IdealRingTest : public ::testing::Test {
  protected:
   void Build(size_t n) {
@@ -142,6 +214,45 @@ TEST_F(IdealRingTest, RewireIdealAfterFailuresRestoresConsistency) {
   sim_.Run();
   ASSERT_FALSE(app_->deliveries.empty());
   EXPECT_EQ(app_->deliveries.back().node, network_->OracleSuccessor(target));
+}
+
+TEST_F(IdealRingTest, RoutingMatchesFullFingerScanAfterUnrepairedCrashes) {
+  Build(1024);
+  Rng rng(20);
+  // Crash ~20% of the ring and repair nothing: finger tables and successor
+  // lists keep pointing at the dead.
+  for (Node* n : nodes_) {
+    if (rng.NextBelow(5) == 0) n->Fail();
+  }
+  std::vector<Node*> alive = network_->AliveNodes();
+  ASSERT_GT(alive.size(), 700u);
+  const int max_steps = network_->options().max_route_hops;
+  ReferenceCounts counts;
+  for (int i = 0; i < 10000; ++i) {
+    Node* origin = alive[rng.NextBelow(alive.size())];
+    // Half the targets land a few nodes past the origin (the average gap
+    // is 2^150), where dead near fingers push answers onto the successor
+    // list; the rest anywhere on the ring.
+    NodeId target =
+        i % 2 == 0
+            ? origin->id() + Uint160::PowerOfTwo(148 + static_cast<int>(
+                                                     rng.NextBelow(5))) +
+                  Uint160::FromUint64(rng.Next())
+            : HashKey("route-" + std::to_string(i));
+    Node* expected_next = ReferenceNextHop(*origin, target, &counts);
+    ASSERT_EQ(origin->NextHopFor(target), expected_next)
+        << "target " << target.ToShortString();
+    uint64_t expected_hops = 0;
+    Node* expected = ReferenceFindSuccessor(origin, target, max_steps,
+                                            &counts, &expected_hops);
+    const uint64_t hops_before = network_->stats().total_hops();
+    ASSERT_EQ(origin->FindSuccessor(target, sim::MsgClass::kLookup), expected)
+        << "target " << target.ToShortString();
+    EXPECT_EQ(network_->stats().total_hops() - hops_before, expected_hops);
+  }
+  // Both repair-free paths were actually taken.
+  EXPECT_GT(counts.dead_fingers, 0);
+  EXPECT_GT(counts.successor_fallbacks, 0);
 }
 
 TEST_F(IdealRingTest, HopLatencyDelaysDelivery) {

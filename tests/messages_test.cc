@@ -479,6 +479,57 @@ TEST_F(CodecRoundTripTest, EmptyStringsAndSentinelIdsSurvive) {
   ExpectRoundTrip(n);
 }
 
+// Notifications are routed to HashKey(subscriber_key). The query caches
+// that identifier, so it must hold wherever a query comes from: the parser
+// (empty key), the engine stamping the key on, and a decoded wire frame
+// (the TCP ring rebuilds every query it receives).
+TEST_F(CodecRoundTripTest, SubscriberIdIsCachedThroughParseSetAndDecode) {
+  query::ContinuousQuery q =
+      query::ParseQuery("SELECT R.a, S.b FROM R, S WHERE R.b = S.a", catalog_)
+          .value();
+  EXPECT_EQ(q.subscriber_id(), HashKey(""));
+  q.set_subscriber_key("node-17");
+  EXPECT_EQ(q.subscriber_id(), HashKey("node-17"));
+
+  query::MwQuery mw =
+      query::ParseMwQuery(
+          "SELECT R.a, S.b, T.c FROM R, S, T WHERE R.a = S.a AND S.b = T.b",
+          catalog_)
+          .value();
+  EXPECT_EQ(mw.subscriber_id(), HashKey(""));
+  mw.set_subscriber_key("node-4");
+  EXPECT_EQ(mw.subscriber_id(), HashKey("node-4"));
+
+  const PayloadCodec& codec = PayloadCodec::Default();
+  Rng rng(17);
+  for (int i = 0; i < 20; ++i) {
+    QueryIndexPayload p;
+    p.query = RandomQuery(rng);
+    p.level1 = RandomString(rng);
+    wire::Writer w;
+    ASSERT_TRUE(codec.Encode(p, w));
+    wire::Reader r(w.bytes());
+    auto decoded = std::static_pointer_cast<const QueryIndexPayload>(
+        codec.Decode(r, catalog_));
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(decoded->query->subscriber_key(), p.query->subscriber_key());
+    EXPECT_EQ(decoded->query->subscriber_id(),
+              HashKey(p.query->subscriber_key()));
+
+    MwQueryIndexPayload mp;
+    mp.query = RandomMwQuery(rng);
+    mp.level1 = RandomString(rng);
+    wire::Writer mw_w;
+    ASSERT_TRUE(codec.Encode(mp, mw_w));
+    wire::Reader mw_r(mw_w.bytes());
+    auto mw_decoded = std::static_pointer_cast<const MwQueryIndexPayload>(
+        codec.Decode(mw_r, catalog_));
+    ASSERT_NE(mw_decoded, nullptr);
+    EXPECT_EQ(mw_decoded->query->subscriber_id(),
+              HashKey(mp.query->subscriber_key()));
+  }
+}
+
 TEST_F(CodecRoundTripTest, AppMessageEnvelopeRoundTrips) {
   Rng rng(5);
   chord::AppMessage msg;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <compare>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace contjoin {
 namespace {
 
@@ -128,6 +134,110 @@ TEST(Uint160Test, InOpenOpenExcludesBothEnds) {
   EXPECT_TRUE(u(5).InOpenOpen(u(3), u(8)));
   EXPECT_FALSE(u(8).InOpenOpen(u(3), u(8)));
   EXPECT_FALSE(u(3).InOpenOpen(u(3), u(8)));
+}
+
+// Word-by-word lexicographic order, most-significant word first.
+std::strong_ordering ReferenceCompare(const Uint160& x, const Uint160& y) {
+  for (int i = 0; i < 5; ++i) {
+    if (x.word(i) != y.word(i)) {
+      return x.word(i) < y.word(i) ? std::strong_ordering::less
+                                   : std::strong_ordering::greater;
+    }
+  }
+  return std::strong_ordering::equal;
+}
+
+// The ring intervals are decided by ordering alone; these are the
+// subtraction-based definitions they must agree with: x in (a, b] iff
+// 0 < x - a <= b - a, with (a, a] the full ring and (a, a) the ring minus a.
+bool ReferenceInOpenClosed(const Uint160& x, const Uint160& a,
+                           const Uint160& b) {
+  if (a == b) return true;
+  const Uint160 dx = x - a;
+  const Uint160 db = b - a;
+  return ReferenceCompare(dx, Uint160()) > 0 && ReferenceCompare(dx, db) <= 0;
+}
+
+bool ReferenceInOpenOpen(const Uint160& x, const Uint160& a,
+                         const Uint160& b) {
+  if (a == b) return x != a;
+  const Uint160 dx = x - a;
+  const Uint160 db = b - a;
+  return ReferenceCompare(dx, Uint160()) > 0 && ReferenceCompare(dx, db) < 0;
+}
+
+// Random identifiers whose words come from a small pool half the time, so
+// that equal high halves, equal middle halves and equal last words (the
+// three stages of the comparison) are all common.
+Uint160 RandomId(Rng& rng) {
+  static const std::array<const char*, 6> kWords = {
+      "00000000", "00000001", "7fffffff", "80000000", "fffffffe", "ffffffff"};
+  std::string hex;
+  for (int w = 0; w < 5; ++w) {
+    if (rng.NextBelow(2) == 0) {
+      hex += kWords[rng.NextBelow(kWords.size())];
+    } else {
+      static const char kHex[] = "0123456789abcdef";
+      const uint64_t v = rng.Next();
+      for (int nibble = 0; nibble < 8; ++nibble) {
+        hex.push_back(kHex[(v >> (4 * nibble)) & 0xF]);
+      }
+    }
+  }
+  return Uint160::FromHex(hex);
+}
+
+void ExpectMatchesReference(const Uint160& x, const Uint160& a,
+                            const Uint160& b) {
+  EXPECT_EQ(x.InOpenClosed(a, b), ReferenceInOpenClosed(x, a, b))
+      << "x=" << x.ToHex() << " a=" << a.ToHex() << " b=" << b.ToHex();
+  EXPECT_EQ(x.InOpenOpen(a, b), ReferenceInOpenOpen(x, a, b))
+      << "x=" << x.ToHex() << " a=" << a.ToHex() << " b=" << b.ToHex();
+  EXPECT_TRUE((x <=> a) == ReferenceCompare(x, a))
+      << "x=" << x.ToHex() << " a=" << a.ToHex();
+  EXPECT_EQ(x == a, ReferenceCompare(x, a) == 0);
+}
+
+TEST(Uint160Test, IntervalsAndOrderMatchSubtractionDefinitions) {
+  Rng rng(160);
+  for (int i = 0; i < 100000; ++i) {
+    const Uint160 a = RandomId(rng);
+    const Uint160 b = RandomId(rng);
+    const Uint160 x = RandomId(rng);
+    ExpectMatchesReference(x, a, b);
+    ExpectMatchesReference(x, b, a);  // The complementary (wrapping) side.
+    ExpectMatchesReference(a, a, b);  // x == a.
+    ExpectMatchesReference(b, a, b);  // x == b.
+    ExpectMatchesReference(x, a, a);  // a == b.
+    ExpectMatchesReference(a, a, a);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(Uint160Test, IntervalEdgeCasesMatchSubtractionDefinitions) {
+  const Uint160 zero;
+  const Uint160 one = Uint160::FromUint64(1);
+  const Uint160 max = Uint160::Max();
+  const Uint160 half = Uint160::PowerOfTwo(159);
+  const std::vector<Uint160> points = {
+      zero, one, max, max - one, half, half - one, half + one,
+      Uint160::PowerOfTwo(64), Uint160::PowerOfTwo(128),
+      Uint160::PowerOfTwo(128) - one, HashKey("edge")};
+  for (const Uint160& a : points) {
+    for (const Uint160& b : points) {
+      for (const Uint160& x : points) ExpectMatchesReference(x, a, b);
+    }
+  }
+  // Intervals wrapping through zero, spelled out.
+  EXPECT_TRUE(zero.InOpenClosed(max, one));
+  EXPECT_TRUE(one.InOpenClosed(max, one));
+  EXPECT_FALSE(max.InOpenClosed(max, one));
+  EXPECT_TRUE(zero.InOpenOpen(max, one));
+  EXPECT_FALSE(one.InOpenOpen(max, one));
+  EXPECT_TRUE(max.InOpenClosed(half, zero));
+  EXPECT_TRUE(zero.InOpenClosed(half, zero));
+  EXPECT_FALSE(zero.InOpenOpen(half, zero));
+  EXPECT_FALSE(one.InOpenClosed(half, zero));
 }
 
 TEST(Uint160Test, HashKeyMatchesSha1) {
