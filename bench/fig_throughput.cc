@@ -2,10 +2,9 @@
 // paper figure). Streams tuple waves (InsertTupleWave: one virtual-time
 // epoch, many same-timestamp insertions) through the engine and reports
 // wall-clock events/sec and tuples/sec for worker counts {1,2,4,8} at ring
-// sizes {512, 2048, 10000}, plus a coalescing on/off pair at the middle
-// size. The determinism contract means every cell of the sweep produces
-// bit-identical protocol traffic — only the wall clock moves. Emits
-// machine-readable BENCH_throughput.json.
+// sizes {512, 2048, 10000}. The determinism contract means every cell of
+// the sweep produces bit-identical protocol traffic — only the wall clock
+// moves. Emits machine-readable BENCH_throughput.json.
 //
 // Wall-clock timing is deliberate and confined to bench/: src/ stays free
 // of real-time reads so simulation stays reproducible.
@@ -28,7 +27,6 @@ namespace {
 struct RunConfig {
   size_t num_nodes;
   int threads;
-  bool coalesce;
 };
 
 struct RunOutcome {
@@ -46,7 +44,6 @@ RunOutcome RunOne(const RunConfig& rc, size_t num_queries, size_t num_waves,
                   size_t wave_width) {
   workload::DriverConfig cfg = bench::DefaultConfig();
   cfg.engine.num_nodes = rc.num_nodes;
-  cfg.engine.chord.coalesce = rc.coalesce;
   workload::ExperimentDriver driver(cfg);
   driver.InstallQueries(num_queries);
 
@@ -86,8 +83,6 @@ std::string JsonRecord(const RunConfig& rc, const RunOutcome& o) {
   std::string json = "    {";
   json += "\"nodes\": " + std::to_string(rc.num_nodes) + ", ";
   json += "\"threads\": " + std::to_string(rc.threads) + ", ";
-  json += std::string("\"coalesce\": ") + (rc.coalesce ? "true" : "false") +
-          ", ";
   json += "\"events\": " + std::to_string(o.events) + ", ";
   json += "\"tuples\": " + std::to_string(o.tuples) + ", ";
   json += "\"parallel_batches\": " + std::to_string(o.parallel_batches) +
@@ -105,11 +100,9 @@ std::string JsonRecord(const RunConfig& rc, const RunOutcome& o) {
 int main() {
   bench::PrintFigure(
       "T-P (infrastructure)",
-      "Simulator-core throughput vs worker threads and ring size "
-      "(per-destination coalescing pair at N=2048)",
+      "Simulator-core throughput vs worker threads and ring size",
       "events/sec rises with the worker count while every cell stays "
-      "bit-identical in protocol traffic; coalescing removes per-message "
-      "transmit events and lifts tuples/sec further");
+      "bit-identical in protocol traffic");
 
   const size_t kQueries = bench::Scaled(300);
   const size_t kWaves = bench::Scaled(8);
@@ -123,7 +116,7 @@ int main() {
   std::printf("# hardware_concurrency: %u\n", hw);
   std::vector<std::string> records;
   bench::PrintRow(
-      "nodes\tthreads\tcoalesce\ttuples\tevents\tparallel_batches\t"
+      "nodes\tthreads\ttuples\tevents\tparallel_batches\t"
       "seconds\tevents_per_sec\ttuples_per_sec\tnotifications");
 
   auto run_and_report = [&](const RunConfig& rc) {
@@ -134,7 +127,6 @@ int main() {
     RunOutcome o = RunOne(rc, kQueries, kWaves, wave_width);
     bench::PrintRow(std::to_string(rc.num_nodes) + "\t" +
                     std::to_string(rc.threads) + "\t" +
-                    (rc.coalesce ? "on" : "off") + "\t" +
                     std::to_string(o.tuples) + "\t" +
                     std::to_string(o.events) + "\t" +
                     std::to_string(o.parallel_batches) + "\t" +
@@ -147,12 +139,8 @@ int main() {
 
   for (size_t n : kRings) {
     for (int t : kThreads) {
-      run_and_report(RunConfig{n, t, /*coalesce=*/false});
+      run_and_report(RunConfig{n, t});
     }
-  }
-  // Coalescing pair: same workload, batched transmissions.
-  for (int t : {1, 8}) {
-    run_and_report(RunConfig{2048, t, /*coalesce=*/true});
   }
 
   std::ofstream json("BENCH_throughput.json");

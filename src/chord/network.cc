@@ -15,14 +15,9 @@ Network::Network(sim::Simulator* simulator, NetworkOptions options)
       transport_(sim_transport_.get()) {
   CJ_CHECK(simulator_ != nullptr);
   CJ_CHECK(options_.successor_list_size >= 1);
-  if (options_.coalesce) {
-    simulator_->set_post_action_hook([this] { CloseCoalescingBuffers(); });
-  }
 }
 
-Network::~Network() {
-  if (options_.coalesce) simulator_->set_post_action_hook(nullptr);
-}
+Network::~Network() = default;
 
 void Network::set_transport(Transport* transport) {
   transport_ = transport != nullptr ? transport : sim_transport_.get();
@@ -171,74 +166,20 @@ int Network::StabilizeUntilConsistent(int max_rounds) {
   return max_rounds;
 }
 
-namespace {
-
-// One per-destination aggregation buffer, open between a handler's first
-// transmission to (net, to, cls, latency) and the end of that handler.
-// Thread-local because concurrently executing shards each aggregate their
-// own outbound traffic; the flush event was scheduled at open time and
-// runs in a later micro-epoch, after every append.
-struct OpenBuffer {
-  Network* net;
-  Node* to;
-  sim::MsgClass cls;
-  sim::SimTime latency;
-  std::shared_ptr<std::vector<std::function<void()>>> actions;
-};
-thread_local std::vector<OpenBuffer> open_buffers;
-
-}  // namespace
-
-void Network::AppendCoalesced(Node* to, sim::MsgClass cls,
-                              sim::SimTime latency,
-                              std::function<void()> action) {
-  for (OpenBuffer& buf : open_buffers) {
-    if (buf.net == this && buf.to == to && buf.cls == cls &&
-        buf.latency == latency) {
-      buf.actions->push_back(std::move(action));
-      coalesced_messages_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  auto actions =
-      std::make_shared<std::vector<std::function<void()>>>();
-  actions->push_back(std::move(action));
-  open_buffers.push_back(OpenBuffer{this, to, cls, latency, actions});
-  simulator_->ScheduleSharded(latency, to->serial(), [this, to, cls,
-                                                      actions]() {
-    if (!to->alive()) {
-      // Each logical message in the batch is lost and accounted.
-      for (size_t i = 0; i < actions->size(); ++i) stats_.AddDrop(cls);
-      return;
-    }
-    for (const std::function<void()>& batched : *actions) batched();
-  });
+void Network::ScheduleDelivery(Node* to, sim::SimTime latency,
+                               HopFrame frame) {
+  simulator_->ScheduleSharded(
+      latency, to->serial(), [this, to, frame = std::move(frame)]() mutable {
+        if (!to->alive()) {
+          stats_.AddDrop(frame.cls);
+          return;
+        }
+        to->ApplyHop(std::move(frame));
+      });
 }
 
-void Network::CloseCoalescingBuffers() {
-  open_buffers.erase(
-      std::remove_if(open_buffers.begin(), open_buffers.end(),
-                     [this](const OpenBuffer& b) { return b.net == this; }),
-      open_buffers.end());
-}
-
-template <typename Action>
-void Network::ScheduleDelivery(Node* to, sim::MsgClass cls,
-                               sim::SimTime latency, Action action) {
-  simulator_->ScheduleSharded(latency, to->serial(),
-                              [this, to, cls,
-                               action = std::move(action)]() mutable {
-                                if (!to->alive()) {
-                                  stats_.AddDrop(cls);
-                                  return;
-                                }
-                                action();
-                              });
-}
-
-template <typename Action>
-void Network::TransmitAction(Node* from, Node* to, sim::MsgClass cls,
-                             Action action) {
+void Network::TransmitFrame(Node* from, Node* to, HopFrame frame) {
+  const sim::MsgClass cls = frame.cls;
   stats_.AddHop(cls);
   if (to == nullptr || !to->alive()) {
     stats_.AddDrop(cls);
@@ -262,33 +203,10 @@ void Network::TransmitAction(Node* from, Node* to, sim::MsgClass cls,
       // The duplicate is real traffic: one more hop, delivered at the same
       // time as the original (delivery still re-checks liveness).
       stats_.AddHop(cls);
-      ScheduleDelivery(to, cls, latency, action);
-    }
-    if (fate.extra_delay > 0) {
-      // Delayed messages ride alone so the perturbed latency stays visible
-      // per message.
-      ScheduleDelivery(to, cls, latency, std::move(action));
-      return;
+      ScheduleDelivery(to, latency, frame);
     }
   }
-  if (options_.coalesce && simulator_->InExecution()) {
-    AppendCoalesced(to, cls, latency,
-                    std::function<void()>(std::move(action)));
-    return;
-  }
-  ScheduleDelivery(to, cls, latency, std::move(action));
-}
-
-void Network::Transmit(Node* from, Node* to, sim::MsgClass cls,
-                       std::function<void()> action) {
-  TransmitAction(from, to, cls, std::move(action));
-}
-
-void Network::TransmitFrame(Node* from, Node* to, HopFrame frame) {
-  const sim::MsgClass cls = frame.cls;
-  TransmitAction(from, to, cls, [to, frame = std::move(frame)]() mutable {
-    to->ApplyHop(std::move(frame));
-  });
+  ScheduleDelivery(to, latency, std::move(frame));
 }
 
 }  // namespace contjoin::chord

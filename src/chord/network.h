@@ -1,11 +1,13 @@
 // The simulated overlay network: node registry, hop-counted transport,
 // ground-truth oracle, ring construction (protocol-based and ideal) and
-// maintenance driving.
+// maintenance driving. Every overlay hop is a typed HopFrame: it leaves
+// through TransmitHop and the installed Transport, and inside the
+// simulator lands in TransmitFrame, which counts it, consults the fault
+// plan and schedules it on the destination's shard.
 
 #ifndef CONTJOIN_CHORD_NETWORK_H_
 #define CONTJOIN_CHORD_NETWORK_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,12 +40,6 @@ struct NetworkOptions {
   /// Hop budget per routed message; exceeded messages are dropped and
   /// counted (only reachable in inconsistent transitional rings).
   int max_route_hops = 512;
-  /// Sender-side per-destination aggregation (Grappa-style): transmissions
-  /// a handler issues to the same destination, class and latency ride one
-  /// delivery event. Hop accounting and fault injection stay per logical
-  /// message; only the event count shrinks. Off by default so historical
-  /// runs stay bit-identical.
-  bool coalesce = false;
 };
 
 /// Owns all nodes, counts traffic, and provides ring-construction helpers.
@@ -120,24 +116,18 @@ class Network {
 
   // --- Transport (used by Node) -----------------------------------------------
 
-  /// One overlay hop from `from` to `to`: counts a hop of class `cls` and
-  /// schedules `action` after the hop latency. Messages to dead nodes are
-  /// dropped and counted. This closure path remains for simulator-only
-  /// interactions (DHT fetch replies, migration state transfers, engine
-  /// result sinks); protocol hops travel as typed frames via TransmitHop.
-  void Transmit(Node* from, Node* to, sim::MsgClass cls,
-                std::function<void()> action);
-
-  /// One typed overlay hop inside the simulator: exactly Transmit's
-  /// accounting, fault injection, coalescing and scheduling, with `to`
-  /// executing `frame` via Node::ApplyHop on arrival. The frame rides in the
-  /// scheduled event itself (one closure per hop).
+  /// One overlay hop inside the simulator: counts a hop of the frame's
+  /// class, applies the fault plan (drop, duplicate, extra delay) and
+  /// schedules `to` to execute `frame` via Node::ApplyHop after the hop
+  /// latency. The frame rides in the scheduled event itself (one closure
+  /// per hop). Frames to dead or unknown (nullptr) nodes are dropped and
+  /// counted, at send time or on arrival.
   void TransmitFrame(Node* from, Node* to, HopFrame frame);
 
-  /// Ships one typed overlay hop to the node with identifier `to` through
-  /// the installed transport (the one true send path for protocol
-  /// messages). When a frame sizer is installed, the encoded size is
-  /// accounted per message class first.
+  /// Ships one overlay hop to the node with identifier `to` through the
+  /// installed transport (the only send path for overlay hops). When a
+  /// frame sizer is installed, the encoded size is accounted per message
+  /// class first.
   void TransmitHop(Node* from, const NodeId& to, HopFrame frame);
 
   /// The hop-shipping seam. Defaults to the in-simulator transport;
@@ -164,7 +154,7 @@ class Network {
   void CountDrop(sim::MsgClass cls) { stats_.AddDrop(cls); }
 
   /// Installs (or clears, with nullptr) the fault-injection plan consulted
-  /// by Transmit. The plan must outlive the network. No plan means the
+  /// by TransmitFrame. The plan must outlive the network. No plan means the
   /// historical loss-free transport.
   void set_fault_plan(faults::FaultPlan* plan) { fault_plan_ = plan; }
   faults::FaultPlan* fault_plan() const { return fault_plan_; }
@@ -177,12 +167,6 @@ class Network {
   /// Fresh address epoch for a node reconnecting from a new "IP".
   uint64_t AssignIp() { return next_ip_++; }
 
-  /// Logical messages that shared a delivery event with an earlier one
-  /// (only nonzero with options().coalesce).
-  uint64_t coalesced_messages() const {
-    return coalesced_messages_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Hash for the id index. Node identifiers are SHA-1 digests, so their
   /// low 64 bits are already uniformly spread.
@@ -194,25 +178,9 @@ class Network {
 
   void WireIdeal(const std::vector<Node*>& sorted);
 
-  /// Transmit and TransmitFrame, generic over the delivered callable so a
-  /// frame is captured by value in the scheduled event.
-  template <typename Action>
-  void TransmitAction(Node* from, Node* to, sim::MsgClass cls,
-                      Action action);
-
-  /// Schedules `action` on `to`'s shard after `latency`; on arrival a dead
-  /// destination drops the message (counted) instead of running it.
-  template <typename Action>
-  void ScheduleDelivery(Node* to, sim::MsgClass cls, sim::SimTime latency,
-                        Action action);
-
-  /// Appends `action` to the calling thread's open buffer for (to, cls,
-  /// latency), opening the buffer (and scheduling its single flush event)
-  /// on first use. Buffers seal when the current handler returns, via the
-  /// simulator's post-action hook.
-  void AppendCoalesced(Node* to, sim::MsgClass cls, sim::SimTime latency,
-                       std::function<void()> action);
-  void CloseCoalescingBuffers();
+  /// Schedules `frame` on `to`'s shard after `latency`; on arrival a dead
+  /// destination drops it (counted) instead of applying it.
+  void ScheduleDelivery(Node* to, sim::SimTime latency, HopFrame frame);
 
   sim::Simulator* simulator_;
   NetworkOptions options_;
@@ -229,7 +197,6 @@ class Network {
   size_t alive_count_ = 0;
   uint64_t next_ip_ = 1;
   uint64_t next_key_serial_ = 0;
-  std::atomic<uint64_t> coalesced_messages_{0};
 };
 
 }  // namespace contjoin::chord

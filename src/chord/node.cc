@@ -399,24 +399,6 @@ void Node::DeliverLocal(const AppMessage& msg) {
       store_.Put(p->key, p->item);
       return;
     }
-    case MsgKind::kDhtFetch: {
-      const auto* p = static_cast<const DhtFetchPayload*>(msg.payload.get());
-      // Copy the items (get() returns them; they stay stored).
-      std::vector<PayloadPtr> items = store_.Take(p->key);
-      for (const PayloadPtr& item : items) store_.Put(p->key, item);
-      Node* origin = p->origin;
-      auto on_result = p->on_result;
-      if (origin == this) {
-        on_result(std::move(items));
-        return;
-      }
-      network_->Transmit(this, origin, sim::MsgClass::kLookup,
-                         [on_result = std::move(on_result),
-                          items = std::move(items)]() mutable {
-                           on_result(std::move(items));
-                         });
-      return;
-    }
   }
 }
 
@@ -475,20 +457,6 @@ void Node::DhtPut(const NodeId& key, PayloadPtr item) {
   msg.cls = sim::MsgClass::kLookup;
   msg.payload = std::move(payload);
   msg.kind = MsgKind::kDhtStore;
-  Send(std::move(msg));
-}
-
-void Node::DhtGet(const NodeId& key,
-                  std::function<void(std::vector<PayloadPtr>)> on_result) {
-  auto payload = std::make_shared<DhtFetchPayload>();
-  payload->key = key;
-  payload->origin = this;
-  payload->on_result = std::move(on_result);
-  AppMessage msg;
-  msg.target = key;
-  msg.cls = sim::MsgClass::kLookup;
-  msg.payload = std::move(payload);
-  msg.kind = MsgKind::kDhtFetch;
   Send(std::move(msg));
 }
 

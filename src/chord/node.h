@@ -149,17 +149,12 @@ class Node {
   /// O(log N) depth.
   void Broadcast(PayloadPtr payload, sim::MsgClass cls);
 
-  // --- DHT interface (paper §2.1: put(ID, item) / get(ID)) --------------------
+  // --- DHT interface (paper §2.1: put(ID, item)) -----------------------------
 
   /// put(ID, item): routes `item` to Successor(key) where it is stored.
-  /// Costs O(log N) hops.
+  /// Costs O(log N) hops. Stored items are read back where they live
+  /// (store()) or handed to the application on key transfer.
   void DhtPut(const NodeId& key, PayloadPtr item);
-
-  /// get(ID): routes a fetch to Successor(key); `on_result` runs back at
-  /// this node with copies of the stored items (empty if none). Costs
-  /// O(log N) + 1 hops.
-  void DhtGet(const NodeId& key,
-              std::function<void(std::vector<PayloadPtr>)> on_result);
 
   // --- Storage ---------------------------------------------------------------
 

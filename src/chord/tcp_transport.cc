@@ -93,16 +93,8 @@ void TcpTransport::SendHop(Node* from, const NodeId& to, HopFrame frame) {
     return;
   }
 
-  std::vector<uint8_t> body =
-      options_.encode_frame ? options_.encode_frame(frame)
-                            : std::vector<uint8_t>();
-  if (body.empty()) {
-    // Simulator-only interaction reached the socket seam: it cannot
-    // travel. Counted so a misconfigured deployment is visible.
-    ++unencodable_frames_;
-    network_->CountDrop(frame.cls);
-    return;
-  }
+  CJ_CHECK(options_.encode_frame) << "a multi-daemon ring needs encode_frame";
+  std::vector<uint8_t> body = options_.encode_frame(frame);
   // A shipped hop is still one overlay hop; the per-class counters stay
   // comparable with in-simulator runs (byte metering, when installed,
   // already ran in Network::TransmitHop).

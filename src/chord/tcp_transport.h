@@ -48,9 +48,8 @@ struct TcpTransportOptions {
   /// serial() % peers.size() when unset.
   std::function<int(const Node&)> owner_of;
 
-  /// Serializes a hop frame (injected from the layer that owns the codec).
-  /// An empty result means the frame is simulator-only and cannot travel;
-  /// the transport drops it and counts unencodable_frames().
+  /// Serializes a hop frame (injected from the layer that owns the codec;
+  /// required whenever `peers` names more than one daemon).
   std::function<std::vector<uint8_t>(const HopFrame&)> encode_frame;
 };
 
@@ -80,8 +79,8 @@ class TcpTransport : public Transport {
 
   /// Locally-owned destination: delegate to the in-simulator transport.
   /// Remote destination: encode and enqueue to the owning peer
-  /// (connecting lazily). Unknown identifiers and unencodable frames are
-  /// dropped and counted, mirroring the sim transport's dead-node drops.
+  /// (connecting lazily). Unknown identifiers are dropped and counted,
+  /// mirroring the sim transport's dead-node drops.
   void SendHop(Node* from, const NodeId& to, HopFrame frame) override;
 
   /// Queues a tagged message on an accepted connection (replies).
@@ -99,7 +98,6 @@ class TcpTransport : public Transport {
 
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t frames_received() const { return frames_received_; }
-  uint64_t unencodable_frames() const { return unencodable_frames_; }
 
   void CloseAll();
 
@@ -127,7 +125,6 @@ class TcpTransport : public Transport {
 
   uint64_t frames_sent_ = 0;
   uint64_t frames_received_ = 0;
-  uint64_t unencodable_frames_ = 0;
 };
 
 }  // namespace contjoin::chord

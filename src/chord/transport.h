@@ -34,10 +34,8 @@ class Transport {
 };
 
 /// The discrete-event implementation: resolves `to` through the network's
-/// id index and delegates to Network::TransmitFrame, which applies
-/// Network::Transmit's hop counting, fault injection, coalescing and
-/// destination-shard scheduling — runs over this transport are
-/// bit-identical to the pre-seam engine.
+/// id index and delegates to Network::TransmitFrame, which applies hop
+/// counting, fault injection and destination-shard scheduling.
 class SimTransport : public Transport {
  public:
   explicit SimTransport(Network* network) : network_(network) {}

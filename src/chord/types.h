@@ -4,7 +4,6 @@
 #ifndef CONTJOIN_CHORD_TYPES_H_
 #define CONTJOIN_CHORD_TYPES_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -29,8 +28,8 @@ struct Payload {
 using PayloadPtr = std::shared_ptr<const Payload>;
 
 /// How a delivered message is consumed: by the attached Application, or by
-/// the node itself (the put/get DHT interface of paper §2.1).
-enum class MsgKind : unsigned char { kApp = 0, kDhtStore, kDhtFetch };
+/// the node itself (the put half of the DHT interface of paper §2.1).
+enum class MsgKind : unsigned char { kApp = 0, kDhtStore };
 
 /// A routable application message: deliver `payload` to Successor(target).
 struct AppMessage {
@@ -74,14 +73,6 @@ struct DhtStorePayload : Payload {
   NodeId key;
   PayloadPtr item;
 };
-
-/// Internal payload of a DhtGet in flight.
-struct DhtFetchPayload : Payload {
-  NodeId key;
-  Node* origin = nullptr;
-  std::function<void(std::vector<PayloadPtr>)> on_result;
-};
-
 
 /// Upper-layer hook attached to each node. The continuous-query engine
 /// implements this to play the rewriter/evaluator/subscriber roles.

@@ -122,10 +122,12 @@ uint64_t ProbeAttrRate(ProtocolContext& ctx, chord::Node& origin,
   std::string mkey = rewriter::MKey(AttrKey(relation, attr), 0);
   // Follow a moved identifier (§4.7) to the statistics' current holder.
   auto moved = ctx.StateOf(*rw).rewriter.moved_attrs.find(mkey);
-  if (moved != ctx.StateOf(*rw).rewriter.moved_attrs.end() &&
-      moved->second.holder != nullptr && moved->second.holder->alive()) {
-    rw = moved->second.holder;
-    ctx.CountHop(sim::MsgClass::kControl);
+  if (moved != ctx.StateOf(*rw).rewriter.moved_attrs.end()) {
+    chord::Node* holder = ctx.NodeById(moved->second.holder);
+    if (holder != nullptr && holder->alive()) {
+      rw = holder;
+      ctx.CountHop(sim::MsgClass::kControl);
+    }
   }
   const AttrArrivalStats& stats = ctx.StateOf(*rw).rewriter.attr_stats[mkey];
   *distinct = stats.DistinctEstimate();

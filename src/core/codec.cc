@@ -430,6 +430,70 @@ std::shared_ptr<const CqPayload> DecodeMigrateCmd(CqMsgType,
   return r.ok() ? p : nullptr;
 }
 
+bool EncodeMigrateBucket(const CqPayload& payload, wire::Writer& w) {
+  const auto& p = static_cast<const MigrateBucketPayload&>(payload);
+  w.Str(p.mkey);
+  w.U32(static_cast<uint32_t>(p.generation));
+  w.U32(static_cast<uint32_t>(p.queries.size()));
+  for (const AlqtEntry& e : p.queries) {
+    if (e.query == nullptr) return false;
+    WriteQuery(w, *e.query);
+    w.U8(static_cast<uint8_t>(e.index_side));
+  }
+  w.U64(p.tuples_seen);
+  w.U32(static_cast<uint32_t>(p.value_counts.size()));
+  for (const auto& [value, count] : p.value_counts) {
+    w.Str(value);
+    w.U64(count);
+  }
+  w.U64(p.overflow_values);
+  return true;
+}
+
+std::shared_ptr<const CqPayload> DecodeMigrateBucket(
+    CqMsgType, wire::Reader& r, const rel::Catalog& catalog) {
+  auto p = std::make_shared<MigrateBucketPayload>();
+  p->mkey = r.Str();
+  p->generation = static_cast<int>(r.U32());
+  uint32_t n = r.U32();
+  if (!PlausibleCount(r, n)) return nullptr;
+  p->queries.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    AlqtEntry e;
+    e.query = ReadQuery(r, catalog);
+    if (e.query == nullptr) return nullptr;
+    e.index_side = r.U8();
+    p->queries.push_back(std::move(e));
+  }
+  p->tuples_seen = r.U64();
+  uint32_t ncounts = r.U32();
+  if (!PlausibleCount(r, ncounts)) return nullptr;
+  for (uint32_t i = 0; i < ncounts; ++i) {
+    std::string value = r.Str();
+    p->value_counts[std::move(value)] = r.U64();
+  }
+  p->overflow_values = r.U64();
+  return r.ok() ? p : nullptr;
+}
+
+bool EncodeMovedPointer(const CqPayload& payload, wire::Writer& w) {
+  const auto& p = static_cast<const MovedPointerPayload&>(payload);
+  w.Str(p.mkey);
+  w.U32(static_cast<uint32_t>(p.generation));
+  w.Id(p.holder);
+  return true;
+}
+
+std::shared_ptr<const CqPayload> DecodeMovedPointer(CqMsgType,
+                                                    wire::Reader& r,
+                                                    const rel::Catalog&) {
+  auto p = std::make_shared<MovedPointerPayload>();
+  p->mkey = r.Str();
+  p->generation = static_cast<int>(r.U32());
+  p->holder = r.Id();
+  return r.ok() ? p : nullptr;
+}
+
 bool EncodeMwQueryIndex(const CqPayload& payload, wire::Writer& w) {
   const auto& p = static_cast<const MwQueryIndexPayload&>(payload);
   if (p.query == nullptr) return false;
@@ -559,6 +623,27 @@ std::shared_ptr<const CqPayload> DecodeOtjRehash(
   return r.ok() ? p : nullptr;
 }
 
+bool EncodeOtjResult(const CqPayload& payload, wire::Writer& w) {
+  const auto& p = static_cast<const OtjResultPayload&>(payload);
+  w.U64(p.otj_id);
+  w.U32(static_cast<uint32_t>(p.rows.size()));
+  for (const Notification& n : p.rows) WriteNotification(w, n);
+  return true;
+}
+
+std::shared_ptr<const CqPayload> DecodeOtjResult(CqMsgType, wire::Reader& r,
+                                                 const rel::Catalog&) {
+  auto p = std::make_shared<OtjResultPayload>();
+  p->otj_id = r.U64();
+  const uint32_t n = r.U32();
+  if (!PlausibleCount(r, n)) return nullptr;
+  p->rows.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!ReadNotification(r, &p->rows[i])) return nullptr;
+  }
+  return r.ok() ? p : nullptr;
+}
+
 bool EncodeDeliveryAck(const CqPayload& payload, wire::Writer& w) {
   const auto& p = static_cast<const DeliveryAckPayload&>(payload);
   w.U64(p.msg_id);
@@ -632,6 +717,10 @@ PayloadCodec BuildDefaultCodec() {
                             DecodeJfrtAck);
   ok &= table.RegisterCodec(CqMsgType::kMigrateCmd, EncodeMigrateCmd,
                             DecodeMigrateCmd);
+  ok &= table.RegisterCodec(CqMsgType::kMigrateBucket, EncodeMigrateBucket,
+                            DecodeMigrateBucket);
+  ok &= table.RegisterCodec(CqMsgType::kMovedPointer, EncodeMovedPointer,
+                            DecodeMovedPointer);
   ok &= table.RegisterCodec(CqMsgType::kMwQueryIndex, EncodeMwQueryIndex,
                             DecodeMwQueryIndex);
   ok &= table.RegisterCodec(CqMsgType::kMwJoin, EncodeMwJoin, DecodeMwJoin);
@@ -639,6 +728,8 @@ PayloadCodec BuildDefaultCodec() {
                             DecodeOtjScan);
   ok &= table.RegisterCodec(CqMsgType::kOtjRehash, EncodeOtjRehash,
                             DecodeOtjRehash);
+  ok &= table.RegisterCodec(CqMsgType::kOtjResult, EncodeOtjResult,
+                            DecodeOtjResult);
   ok &= table.RegisterCodec(CqMsgType::kNotificationDigest,
                             EncodeNotificationDigest,
                             DecodeNotificationDigest);
@@ -734,10 +825,6 @@ bool EncodeAppMessage(const chord::AppMessage& msg, wire::Writer& w) {
       }
       break;
     }
-    case chord::MsgKind::kDhtFetch:
-      // Carries a completion closure; simulator-only by design.
-      ok = false;
-      break;
   }
   if (!ok) w.Truncate(mark);
   return ok;
@@ -768,8 +855,6 @@ bool DecodeAppMessage(wire::Reader& r, const rel::Catalog& catalog,
       out->payload = std::move(store);
       return true;
     }
-    case chord::MsgKind::kDhtFetch:
-      return false;
   }
   return false;
 }

@@ -7,12 +7,10 @@
 // plus submission metadata and are re-parsed on receipt, so the parser
 // stays the single source of structural truth.
 //
-// Not everything the simulator ships is encodable: DhtFetchPayload carries
-// a completion closure and stays simulator-only, as do the migration
-// state-transfer and one-time-join result-streaming interactions (which
-// never leave the closure-based Transmit path). Encoders report those
-// cases by returning false / an empty buffer instead of aborting, so the
-// byte meter can skip them and a socket transport can reject them.
+// Every overlay hop is a typed frame, so everything the engine ships is
+// encodable. Encoders still return false / an empty buffer on a malformed
+// payload (a missing query, a DHT item that is not a CqPayload) instead of
+// aborting.
 
 #ifndef CONTJOIN_CORE_CODEC_H_
 #define CONTJOIN_CORE_CODEC_H_
@@ -33,8 +31,8 @@ namespace contjoin::core {
 /// in codec.cc so the wire format of a type is reviewed as one unit.
 class PayloadCodec {
  public:
-  /// Appends the body of `payload` (no type tag) to `w`. Returns false if
-  /// the payload cannot travel (it then wrote nothing).
+  /// Appends the body of `payload` (no type tag) to `w`. Returns false on a
+  /// malformed payload (the caller then rolls back what it wrote).
   using EncodeFn = bool (*)(const CqPayload& payload, wire::Writer& w);
   /// Parses a body of type `type`; nullptr on malformed input (the reader's
   /// ok() also turns false on short reads). `catalog` resolves re-parsed
@@ -50,7 +48,7 @@ class PayloadCodec {
 
   bool HasCodec(CqMsgType type) const;
 
-  /// Writes [u8 type][body]. False (nothing written) if unencodable.
+  /// Writes [u8 type][body]. False (nothing written) if malformed.
   bool Encode(const CqPayload& payload, wire::Writer& w) const;
 
   /// Reads [u8 type][body]; nullptr on malformed input.
@@ -66,8 +64,8 @@ class PayloadCodec {
 };
 
 /// Serializes a routable message: target, class, kind, reliability
-/// envelope, payload. False (nothing written) if the payload is
-/// simulator-only (DhtFetch, or a DhtStore item that is not a CqPayload).
+/// envelope, payload. False (nothing written) if the payload is malformed
+/// (not a CqPayload, or a DhtStore item that is not one).
 bool EncodeAppMessage(const chord::AppMessage& msg, wire::Writer& w);
 
 /// Inverse of EncodeAppMessage; false on malformed input.
@@ -77,7 +75,7 @@ bool DecodeAppMessage(wire::Reader& r, const rel::Catalog& catalog,
 /// Serializes one overlay hop to a self-contained buffer:
 /// [u8 version][u8 hop kind][u8 class][u32 ttl][per-kind body]. A socket
 /// transport prepends its own u32 length prefix for stream framing.
-/// Returns an empty buffer if any contained message is unencodable.
+/// Returns an empty buffer if any contained message is malformed.
 std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame);
 
 /// Inverse of EncodeHopFrame; false on malformed or version-mismatched
@@ -85,7 +83,7 @@ std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame);
 bool DecodeHopFrame(const uint8_t* data, size_t size,
                     const rel::Catalog& catalog, chord::HopFrame* out);
 
-/// Encoded size of `frame` in bytes, or 0 if it is unencodable — the
+/// Encoded size of `frame` in bytes, or 0 if it is malformed — the
 /// bytes-on-wire meter installed by the engine (Options::count_wire_bytes)
 /// feeds sim::NetStats::AddBytes with this.
 size_t EncodedFrameSize(const chord::HopFrame& frame);

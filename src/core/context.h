@@ -4,7 +4,9 @@
 // state, transport, clock and notification sink exclusively through this
 // interface — it is the boundary a sharded simulator or a real wire
 // transport plugs into, and what unit tests mock to exercise one handler in
-// isolation.
+// isolation. Every message a handler sends is a typed AppMessage (routed,
+// multisent, or one direct hop to a known identifier); a handler changes
+// another node's state only by sending it a message.
 
 #ifndef CONTJOIN_CORE_CONTEXT_H_
 #define CONTJOIN_CORE_CONTEXT_H_
@@ -66,11 +68,6 @@ class ProtocolContext {
   virtual void Multisend(chord::Node& from,
                          std::vector<chord::AppMessage> msgs,
                          sim::MsgClass cls) = 0;
-  /// Point-to-point (one-hop) delivery to a known address; `deliver` runs at
-  /// the destination when the hop completes. Simulator-only closure path —
-  /// protocol messages use TransmitMessage so they can cross a wire.
-  virtual void Transmit(chord::Node* from, chord::Node* to, sim::MsgClass cls,
-                        std::function<void()> deliver) = 0;
   /// Point-to-point (one-hop) delivery of a typed message to the node whose
   /// identifier is exactly `to`. Resolution happens at the transport, so no
   /// raw Node* crosses the hop; the destination dispatches `msg` by type.
@@ -86,9 +83,6 @@ class ProtocolContext {
   /// Accounts one adaptive-load-manager event (see AdaptStat). Default
   /// no-op so seam mocks that predate the subsystem keep working.
   virtual void RecordAdapt(AdaptStat stat) { (void)stat; }
-  /// Re-enters message dispatch at `node` — moved attribute-level
-  /// identifiers forward whole messages to their holder (§4.7).
-  virtual void Redeliver(chord::Node& node, const chord::AppMessage& msg) = 0;
 
   // --- Reliable delivery ------------------------------------------------------
 

@@ -17,6 +17,7 @@ bool MessageDispatcher::Dispatch(ProtocolContext& ctx, chord::Node& node,
                                  const chord::AppMessage& msg) const {
   const auto* base = static_cast<const CqPayload*>(msg.payload.get());
   if (base == nullptr) return false;
+  if (evaluator::RerouteIfStale(ctx, node, msg)) return true;
   if (msg.reliable_id != 0 &&
       reliability::ObserveDelivery(ctx, node, msg)) {
     return true;  // Duplicate delivery: acked again, handler suppressed.
@@ -38,18 +39,23 @@ const MessageDispatcher& MessageDispatcher::Default() {
     CJ_CHECK(t.Register(CqMsgType::kQueryIndex, rewriter::HandleQueryIndex));
     CJ_CHECK(t.Register(CqMsgType::kTupleAl, rewriter::HandleTupleAl));
     CJ_CHECK(t.Register(CqMsgType::kTupleVl, evaluator::HandleTupleVl));
-    CJ_CHECK(t.Register(CqMsgType::kJoin, evaluator::HandleJoinMsg));
-    CJ_CHECK(t.Register(CqMsgType::kDaivJoin, evaluator::HandleDaivJoinMsg));
+    CJ_CHECK(t.Register(CqMsgType::kJoin, evaluator::HandleJoin));
+    CJ_CHECK(t.Register(CqMsgType::kDaivJoin, evaluator::HandleDaivJoin));
     CJ_CHECK(
         t.Register(CqMsgType::kNotification, subscriber::HandleNotification));
     CJ_CHECK(t.Register(CqMsgType::kUnsubscribe, rewriter::HandleUnsubscribe));
     CJ_CHECK(t.Register(CqMsgType::kIpUpdate, subscriber::HandleIpUpdate));
     CJ_CHECK(t.Register(CqMsgType::kJfrtAck, rewriter::HandleJfrtAck));
     CJ_CHECK(t.Register(CqMsgType::kMigrateCmd, rewriter::HandleMigrateCmd));
+    CJ_CHECK(t.Register(CqMsgType::kMigrateBucket,
+                        rewriter::HandleMigrateBucket));
+    CJ_CHECK(
+        t.Register(CqMsgType::kMovedPointer, rewriter::HandleMovedPointer));
     CJ_CHECK(t.Register(CqMsgType::kMwQueryIndex, mw::HandleQueryIndex));
     CJ_CHECK(t.Register(CqMsgType::kMwJoin, mw::HandleJoin));
     CJ_CHECK(t.Register(CqMsgType::kOtjScan, otj::HandleScan));
     CJ_CHECK(t.Register(CqMsgType::kOtjRehash, otj::HandleRehash));
+    CJ_CHECK(t.Register(CqMsgType::kOtjResult, otj::HandleResult));
     CJ_CHECK(t.Register(CqMsgType::kDeliveryAck,
                         reliability::HandleDeliveryAck));
     CJ_CHECK(t.Register(CqMsgType::kNotificationDigest,

@@ -240,10 +240,6 @@ class ContinuousQueryNetwork : public chord::Application,
                  sim::MsgClass cls) override {
     from.Multisend(std::move(msgs), cls);
   }
-  void Transmit(chord::Node* from, chord::Node* to, sim::MsgClass cls,
-                std::function<void()> deliver) override {
-    network_.Transmit(from, to, cls, std::move(deliver));
-  }
   void TransmitMessage(chord::Node& from, const chord::NodeId& to,
                        chord::AppMessage msg) override {
     chord::HopFrame frame;
@@ -272,9 +268,6 @@ class ContinuousQueryNetwork : public chord::Application,
         network_.stats().AddAdaptReship();
         break;
     }
-  }
-  void Redeliver(chord::Node& node, const chord::AppMessage& msg) override {
-    HandleMessage(node, msg);
   }
   uint64_t NextReliableId(chord::Node& from) override {
     // Ids embed the node serial so two nodes never collide, and live in

@@ -61,10 +61,38 @@ void MaybeAckJfrt(ProtocolContext& ctx, chord::Node& node, const PayloadT& p) {
   ctx.TransmitMessage(node, p.rewriter, std::move(out));
 }
 
+/// Re-routes a copy of `msg` whose payload asks the true evaluator for a
+/// JFRT ack.
+template <typename PayloadT>
+void RerouteWithAck(ProtocolContext& ctx, chord::Node& node,
+                    const chord::AppMessage& msg) {
+  auto copy = std::make_shared<PayloadT>(
+      *static_cast<const PayloadT*>(msg.payload.get()));
+  copy->want_ack = true;
+  chord::AppMessage fwd = msg;
+  fwd.payload = std::move(copy);
+  ctx.Send(node, std::move(fwd));
+}
+
 }  // namespace
 
+// contjoin-check: hot
+bool RerouteIfStale(ProtocolContext& ctx, chord::Node& node,
+                    const chord::AppMessage& msg) {
+  const CqMsgType type = static_cast<const CqPayload&>(*msg.payload).type;
+  if (type != CqMsgType::kJoin && type != CqMsgType::kDaivJoin) return false;
+  if (node.IsResponsibleFor(msg.target)) return false;
+  if (type == CqMsgType::kJoin) {
+    RerouteWithAck<JoinPayload>(ctx, node, msg);
+  } else {
+    RerouteWithAck<DaivJoinPayload>(ctx, node, msg);
+  }
+  return true;
+}
+
 void HandleJoin(ProtocolContext& ctx, chord::Node& node,
-                const JoinPayload& p) {
+                const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const JoinPayload*>(msg.payload.get());
   if (adapt::OnJoinArrival(ctx, node, p)) return;
   NodeState& state = ctx.StateOf(node);
   ++state.metrics.joins_received;
@@ -193,7 +221,8 @@ void HandleTupleVl(ProtocolContext& ctx, chord::Node& node,
 }
 
 void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
-                    const DaivJoinPayload& p) {
+                    const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const DaivJoinPayload*>(msg.payload.get());
   if (adapt::OnDaivJoinArrival(ctx, node, p)) return;
   NodeState& state = ctx.StateOf(node);
   ++state.metrics.joins_received;
@@ -248,18 +277,6 @@ void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
         DaivStored{entry.row, entry.trigger_pub, entry.trigger_seq,
                    entry.query});
   }
-}
-
-void HandleJoinMsg(ProtocolContext& ctx, chord::Node& node,
-                   const chord::AppMessage& msg) {
-  HandleJoin(ctx, node,
-             *static_cast<const JoinPayload*>(msg.payload.get()));
-}
-
-void HandleDaivJoinMsg(ProtocolContext& ctx, chord::Node& node,
-                       const chord::AppMessage& msg) {
-  HandleDaivJoin(ctx, node,
-                 *static_cast<const DaivJoinPayload*>(msg.payload.get()));
 }
 
 }  // namespace contjoin::core::evaluator

@@ -30,20 +30,23 @@ void RemoveQuery(State& state, const std::string& query_key);
 /// the number of objects dropped.
 size_t ExpireBefore(State& state, rel::Timestamp cutoff);
 
-// Payload-level entry points: the JFRT fast path delivers join payloads
-// directly (one hop, no routing), bypassing message dispatch.
-void HandleJoin(ProtocolContext& ctx, chord::Node& node,
-                const JoinPayload& p);
-void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
-                    const DaivJoinPayload& p);
+/// Stale join-fingers entry (§4.7): a join message sent straight to a
+/// cached evaluator that no longer owns its target identifier is re-routed
+/// from here, under the same reliable id and with an ack request so the
+/// true evaluator refreshes the rewriter's table. Returns true when `msg`
+/// was re-routed. Runs before reliable-delivery bookkeeping, so a stale
+/// node neither acks nor dedups a message it only forwards. Routed joins
+/// always arrive at their owner and pass straight through.
+bool RerouteIfStale(ProtocolContext& ctx, chord::Node& node,
+                    const chord::AppMessage& msg);
 
 // Message handlers (wired up by the dispatch registry).
 void HandleTupleVl(ProtocolContext& ctx, chord::Node& node,
                    const chord::AppMessage& msg);
-void HandleJoinMsg(ProtocolContext& ctx, chord::Node& node,
-                   const chord::AppMessage& msg);
-void HandleDaivJoinMsg(ProtocolContext& ctx, chord::Node& node,
-                       const chord::AppMessage& msg);
+void HandleJoin(ProtocolContext& ctx, chord::Node& node,
+                const chord::AppMessage& msg);
+void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
+                    const chord::AppMessage& msg);
 
 }  // namespace contjoin::core::evaluator
 

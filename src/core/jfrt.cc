@@ -2,18 +2,19 @@
 
 namespace contjoin::core {
 
-chord::Node* Jfrt::Lookup(const chord::NodeId& vindex) {
+std::optional<chord::NodeId> Jfrt::Lookup(const chord::NodeId& vindex) {
   auto it = map_.find(vindex);
   if (it == map_.end()) {
     ++misses_;
-    return nullptr;
+    return std::nullopt;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->evaluator;
 }
 
-void Jfrt::Insert(const chord::NodeId& vindex, chord::Node* evaluator) {
+void Jfrt::Insert(const chord::NodeId& vindex,
+                  const chord::NodeId& evaluator) {
   if (capacity_ == 0) return;
   auto it = map_.find(vindex);
   if (it != map_.end()) {

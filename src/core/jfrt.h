@@ -8,23 +8,25 @@
 
 #include <cstdint>
 #include <list>
+#include <optional>
 #include <unordered_map>
 
 #include "chord/types.h"
 
 namespace contjoin::core {
 
-/// LRU cache: NodeId -> Node*. A stale entry (responsibility moved after
-/// churn) is corrected when the true evaluator acknowledges a routed join.
+/// LRU cache: value-level identifier -> evaluator identifier. A stale entry
+/// (responsibility moved after churn) is corrected when the true evaluator
+/// acknowledges a routed join.
 class Jfrt {
  public:
   explicit Jfrt(size_t capacity) : capacity_(capacity) {}
 
-  /// nullptr on miss. A hit refreshes recency.
-  chord::Node* Lookup(const chord::NodeId& vindex);
+  /// std::nullopt on miss. A hit refreshes recency.
+  std::optional<chord::NodeId> Lookup(const chord::NodeId& vindex);
 
   /// Inserts or updates, evicting the least-recently-used entry if full.
-  void Insert(const chord::NodeId& vindex, chord::Node* evaluator);
+  void Insert(const chord::NodeId& vindex, const chord::NodeId& evaluator);
 
   /// Drops an entry (stale detection).
   void Erase(const chord::NodeId& vindex);
@@ -37,7 +39,7 @@ class Jfrt {
  private:
   struct Entry {
     chord::NodeId vindex;
-    chord::Node* evaluator;
+    chord::NodeId evaluator;
   };
   using List = std::list<Entry>;
 

@@ -77,11 +77,14 @@ enum class CqMsgType : unsigned char {
   kNotificationDigest,  // Coalesced per-(destination, epoch) notifications.
   kAdaptReplicate,  // Adapt directive: attr key's effective replica count.
   kAdaptSplit,      // Adapt directive: value key's virtual split factor.
+  kOtjResult,       // One-time join: result rows streamed to the issuer.
+  kMigrateBucket,   // §4.7: a moved key's bucket, to its new holder.
+  kMovedPointer,    // §4.7: a moved key's base learns the new holder.
 };
 
 /// Number of message types (size of dispatch / per-type counter tables).
 inline constexpr size_t kCqMsgTypeCount =
-    static_cast<size_t>(CqMsgType::kAdaptSplit) + 1;
+    static_cast<size_t>(CqMsgType::kMovedPointer) + 1;
 
 /// Base payload carrying the dispatch tag.
 struct CqPayload : chord::Payload {
@@ -187,6 +190,35 @@ struct MigrateCmdPayload : CqPayload {
   chord::NodeId base;  // Filled in at the base node (zero until then).
 };
 
+/// A query stored at a rewriter, together with the side it is indexed by.
+struct AlqtEntry {
+  query::QueryPtr query;
+  int index_side = 0;
+};
+
+/// §4.7 bucket transfer: the attribute-level role of one "R+A#<replica>"
+/// key — its stored queries and arrival statistics — handed from the old
+/// holder to the successor of the key's next-generation identifier.
+struct MigrateBucketPayload : CqPayload {
+  MigrateBucketPayload() : CqPayload(CqMsgType::kMigrateBucket) {}
+  std::string mkey;
+  int generation = 0;  // Generation the receiver now holds.
+  std::vector<AlqtEntry> queries;  // In table order.
+  // The key's arrival statistics (AttrArrivalStats fields).
+  uint64_t tuples_seen = 0;
+  std::map<std::string, uint64_t> value_counts;
+  uint64_t overflow_values = 0;
+};
+
+/// §4.7: points a moved key's base node at the node now holding the role,
+/// so the base can forward attribute-level traffic in one hop.
+struct MovedPointerPayload : CqPayload {
+  MovedPointerPayload() : CqPayload(CqMsgType::kMovedPointer) {}
+  std::string mkey;
+  int generation = 0;
+  chord::NodeId holder;
+};
+
 struct IpUpdatePayload : CqPayload {
   IpUpdatePayload() : CqPayload(CqMsgType::kIpUpdate) {}
   std::string subscriber_key;
@@ -265,6 +297,14 @@ struct OtjRehashPayload : CqPayload {
   chord::NodeId issuer;
   std::string value_key;  // Join value, canonical form.
   std::vector<OtjTuple> entries;
+};
+
+/// Result rows a temporary-key owner produced for execution `otj_id`,
+/// streamed in one hop straight back to the issuer.
+struct OtjResultPayload : CqPayload {
+  OtjResultPayload() : CqPayload(CqMsgType::kOtjResult) {}
+  uint64_t otj_id = 0;
+  std::vector<Notification> rows;
 };
 
 /// Confirms delivery of the reliable message `msg_id` to its origin, which

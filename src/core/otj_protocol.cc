@@ -82,7 +82,9 @@ void HandleRehash(ProtocolContext& ctx, chord::Node& node,
   ++state.metrics.filter_ops_value;
   const query::ContinuousQuery& q = *p.query;
   auto& sides = state.otj.buffers[p.otj_id][p.value_key];
-  auto rows = std::make_shared<std::vector<Notification>>();
+  auto result = std::make_shared<OtjResultPayload>();
+  result->otj_id = p.otj_id;
+  std::vector<Notification>& rows = result->rows;
   for (const OtjTuple& entry : p.entries) {
     // Symmetric hash join: probe the opposite buffer, then insert.
     for (const OtjTuple& other :
@@ -108,26 +110,27 @@ void HandleRehash(ProtocolContext& ctx, chord::Node& node,
       n.earlier_pub = std::min(entry.pub_time, other.pub_time);
       n.later_pub = std::max(entry.pub_time, other.pub_time);
       n.created_at = ctx.now();
-      rows->push_back(std::move(n));
+      rows.push_back(std::move(n));
     }
     sides[static_cast<size_t>(entry.side)].push_back(entry);
   }
-  if (rows->empty()) return;
-  // Stream the rows straight back to the issuer (PIER-style). The result
-  // transfer itself is an engine-sink interaction (the issuer-side buffer
-  // lives outside any node), so it stays on the closure path.
-  if (p.issuer == chord::NodeId()) return;
-  chord::Node* issuer = ctx.NodeById(p.issuer);
-  if (issuer == nullptr) return;
-  uint64_t otj_id = p.otj_id;
-  if (issuer == &node) {
-    ctx.AppendOtjResults(otj_id, std::move(*rows));
+  if (rows.empty() || p.issuer == chord::NodeId()) return;
+  if (p.issuer == node.id()) {
+    ctx.AppendOtjResults(p.otj_id, std::move(rows));
     return;
   }
-  ctx.Transmit(&node, issuer, sim::MsgClass::kOneTime,
-               [ctx = &ctx, otj_id, rows]() {
-                 ctx->AppendOtjResults(otj_id, std::move(*rows));
-               });
+  // Stream the rows straight back to the issuer (PIER-style): one hop.
+  chord::AppMessage out;
+  out.target = p.issuer;
+  out.cls = sim::MsgClass::kOneTime;
+  out.payload = std::move(result);
+  ctx.TransmitMessage(node, p.issuer, std::move(out));
+}
+
+void HandleResult(ProtocolContext& ctx, chord::Node& /*issuer*/,
+                  const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const OtjResultPayload*>(msg.payload.get());
+  ctx.AppendOtjResults(p.otj_id, p.rows);
 }
 
 }  // namespace contjoin::core::otj

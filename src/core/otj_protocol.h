@@ -1,7 +1,8 @@
 // One-time equi-joins (PIER-style baseline): the query is broadcast, every
 // node rehashes its locally stored base tuples by join value into a
 // temporary namespace, and the temporary-key owners run a symmetric hash
-// join, streaming result rows straight back to the issuer.
+// join, streaming result rows straight back to the issuer in one typed
+// kOtjResult hop, whose handler fills the issuer-side result buffer.
 
 #ifndef CONTJOIN_CORE_OTJ_PROTOCOL_H_
 #define CONTJOIN_CORE_OTJ_PROTOCOL_H_
@@ -31,6 +32,8 @@ struct State {
 void HandleScan(ProtocolContext& ctx, chord::Node& node,
                 const chord::AppMessage& msg);
 void HandleRehash(ProtocolContext& ctx, chord::Node& node,
+                  const chord::AppMessage& msg);
+void HandleResult(ProtocolContext& ctx, chord::Node& node,
                   const chord::AppMessage& msg);
 
 }  // namespace contjoin::core::otj

@@ -84,6 +84,8 @@ bool IsCritical(CqMsgType type) {
     case CqMsgType::kNotification:
     case CqMsgType::kNotificationDigest:
     case CqMsgType::kAdaptSplit:
+    case CqMsgType::kMigrateBucket:
+    case CqMsgType::kMovedPointer:
       return true;
     default:
       return false;

@@ -59,15 +59,17 @@ struct State {
   std::deque<std::pair<sim::SimTime, uint64_t>> seen_by_time;
 };
 
-/// True for the message types the tentpole protects: query indexing,
-/// al-/vl-tuple indexing, rewritten-query reindex, DAI-V projections and
-/// notification delivery. Control chatter (acks, JFRT hints, IP updates)
-/// stays best-effort — losing it costs performance, never answers.
+/// True for the message types whose loss costs answers: query indexing,
+/// al-/vl-tuple indexing, rewritten-query reindex, DAI-V projections,
+/// notification delivery, split directives and the §4.7 bucket transfer
+/// and moved-pointer update. Control chatter (acks, JFRT hints, IP
+/// updates) stays best-effort — losing it costs performance, never
+/// answers.
 bool IsCritical(CqMsgType type);
 
 /// Stamps `msg` with a fresh reliable id, records it in the origin's
 /// pending table and starts the retry timer. The caller still transports
-/// the message (routed send, multisend batch, or direct Transmit).
+/// the message (routed send, multisend batch, or direct TransmitMessage).
 void Arm(ProtocolContext& ctx, chord::Node& from, chord::AppMessage& msg);
 
 /// Routed send with reliability when enabled and the payload is critical;

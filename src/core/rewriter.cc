@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -55,19 +56,28 @@ std::string MKey(const std::string& level1, int replica) {
   return level1 + "#" + std::to_string(replica);
 }
 
+namespace {
+
+/// True while the node with identifier `id` is in the ring.
+bool IsAlive(ProtocolContext& ctx, const chord::NodeId& id) {
+  const chord::Node* peer = ctx.NodeById(id);
+  return peer != nullptr && peer->alive();
+}
+
+}  // namespace
+
 bool ForwardIfMoved(ProtocolContext& ctx, chord::Node& node, State& state,
                     const std::string& mkey, const chord::AppMessage& msg) {
   auto moved = state.moved_attrs.find(mkey);
   if (moved == state.moved_attrs.end()) return false;
-  chord::Node* holder = moved->second.holder;
-  if (holder == nullptr || !holder->alive()) {
+  if (!IsAlive(ctx, moved->second.holder)) {
     // The holder left the ring: the role falls back to the base node
     // (best-effort; the moved state is lost, as with any departure).
     state.moved_attrs.erase(moved);
     return false;
   }
   chord::AppMessage copy = msg;
-  ctx.TransmitMessage(node, holder->id(), std::move(copy));
+  ctx.TransmitMessage(node, moved->second.holder, std::move(copy));
   return true;
 }
 
@@ -256,84 +266,36 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   ++state.metrics.rewrites_sent;
 }
 
-/// Routes a join payload directly to a cached evaluator, falling back to
-/// normal routing (with an ack request) if the cache entry went stale.
-template <typename PayloadT>
-void DeliverViaJfrt(ProtocolContext& ctx, chord::Node* from,
-                    chord::Node* cached, const chord::NodeId& vindex,
-                    std::shared_ptr<PayloadT> payload,
-                    void (*handler)(ProtocolContext&, chord::Node&,
-                                    const PayloadT&)) {
-  if (ctx.options().reliability.enabled) {
-    // Armed fast path: deliver through message dispatch at the cached node
-    // so the receiver-side ack / dedup hook sees the message; a lost hop is
-    // then retried by the origin's timer over normal routing.
-    chord::AppMessage msg;
-    msg.target = vindex;
-    msg.cls = sim::MsgClass::kRewrittenQuery;
-    msg.payload = payload;
-    reliability::Arm(ctx, *from, msg);
-    ctx.Transmit(from, cached, sim::MsgClass::kRewrittenQuery,
-                 [ctx = &ctx, cached, vindex, msg, payload]() {
-                   if (cached->IsResponsibleFor(vindex)) {
-                     ctx->Redeliver(*cached, msg);
-                     return;
-                   }
-                   // Stale cache entry: re-route under the same reliable
-                   // id; the true evaluator's ack refreshes the table.
-                   auto copy = std::make_shared<PayloadT>(*payload);
-                   copy->want_ack = true;
-                   chord::AppMessage fwd = msg;
-                   fwd.payload = std::move(copy);
-                   ctx->Send(*cached, std::move(fwd));
-                 });
-    return;
-  }
-  ctx.Transmit(
-      from, cached, sim::MsgClass::kRewrittenQuery,
-      [ctx = &ctx, cached, vindex, payload = std::move(payload), handler]() {
-        if (cached->IsResponsibleFor(vindex)) {
-          handler(*ctx, *cached, *payload);
-          return;
-        }
-        // Stale cache entry: re-route; the true evaluator's ack will
-        // refresh the rewriter's table.
-        auto copy = std::make_shared<PayloadT>(*payload);
-        copy->want_ack = true;
-        chord::AppMessage msg;
-        msg.target = vindex;
-        msg.cls = sim::MsgClass::kRewrittenQuery;
-        msg.payload = std::move(copy);
-        ctx->Send(*cached, std::move(msg));
-      });
-}
-
-/// Sends the grouped per-evaluator payloads, via the JFRT when enabled.
-template <typename PendingT, typename PayloadT>
+/// Sends the grouped per-evaluator payloads: straight to the cached
+/// evaluator on a JFRT hit (one hop, §4.7), routed otherwise. A stale
+/// cache entry is detected and re-routed by the receiver.
+template <typename PendingT>
 void DispatchPending(ProtocolContext& ctx, chord::Node& node,
-                     NodeState& state, std::map<std::string, PendingT> joins,
-                     void (*handler)(ProtocolContext&, chord::Node&,
-                                     const PayloadT&)) {
+                     NodeState& state, std::map<std::string, PendingT> joins) {
   std::vector<chord::AppMessage> batch;
   for (auto& [vkey, pending] : joins) {
+    chord::AppMessage msg;
+    msg.target = pending.vindex;
+    msg.cls = sim::MsgClass::kRewrittenQuery;
     if (ctx.options().use_jfrt) {
-      chord::Node* cached = state.rewriter.jfrt.Lookup(pending.vindex);
-      if (cached != nullptr && !cached->alive()) {
+      std::optional<chord::NodeId> cached =
+          state.rewriter.jfrt.Lookup(pending.vindex);
+      if (cached.has_value() && !IsAlive(ctx, *cached)) {
         // The cached evaluator left the ring: drop the entry and fall back
         // to routing (the new evaluator's ack will refill the table).
         state.rewriter.jfrt.Erase(pending.vindex);
-        cached = nullptr;
+        cached.reset();
       }
-      if (cached != nullptr) {
-        DeliverViaJfrt<PayloadT>(ctx, &node, cached, pending.vindex,
-                                 std::move(pending.payload), handler);
+      if (cached.has_value()) {
+        msg.payload = std::move(pending.payload);
+        if (ctx.options().reliability.enabled) {
+          reliability::Arm(ctx, node, msg);
+        }
+        ctx.TransmitMessage(node, *cached, std::move(msg));
         continue;
       }
       pending.payload->want_ack = true;
     }
-    chord::AppMessage msg;
-    msg.target = pending.vindex;
-    msg.cls = sim::MsgClass::kRewrittenQuery;
     msg.payload = std::move(pending.payload);
     batch.push_back(std::move(msg));
   }
@@ -383,12 +345,10 @@ void HandleTupleAl(ProtocolContext& ctx, chord::Node& node,
     }
   }
   if (!t1_joins.empty()) {
-    DispatchPending<PendingJoin, JoinPayload>(
-        ctx, node, state, std::move(t1_joins), evaluator::HandleJoin);
+    DispatchPending(ctx, node, state, std::move(t1_joins));
   }
   if (!daiv_joins.empty()) {
-    DispatchPending<PendingDaivJoin, DaivJoinPayload>(
-        ctx, node, state, std::move(daiv_joins), evaluator::HandleDaivJoin);
+    DispatchPending(ctx, node, state, std::move(daiv_joins));
   }
 }
 
@@ -424,84 +384,116 @@ void HandleUnsubscribe(ProtocolContext& ctx, chord::Node& node,
   }
 }
 
-void HandleMigrateCmd(ProtocolContext& ctx, chord::Node& node,
-                      const chord::AppMessage& msg) {
-  const auto& p = *static_cast<const MigrateCmdPayload*>(msg.payload.get());
-  NodeState& state = ctx.StateOf(node);
-  std::string mkey = MKey(p.level1, p.replica);
+namespace {
 
-  // At the base node of an already-moved key: forward to the holder, with
-  // the base recorded so the holder can update our pointer afterwards.
-  auto moved = state.rewriter.moved_attrs.find(mkey);
-  if (moved != state.rewriter.moved_attrs.end() &&
-      moved->second.holder != nullptr && moved->second.holder->alive()) {
-    auto fwd = std::make_shared<MigrateCmdPayload>(p);
-    fwd->base = node.id();
-    chord::Node* holder = moved->second.holder;
-    chord::AppMessage copy = msg;
-    copy.payload = std::move(fwd);
-    ctx.TransmitMessage(node, holder->id(), std::move(copy));
-    return;
-  }
+/// One direct control hop carrying §4.7 migration state, armed for
+/// retries when reliable delivery is on: a lost transfer would otherwise
+/// strand the key's queries.
+void SendMigrationState(ProtocolContext& ctx, chord::Node& from,
+                        const chord::NodeId& to, chord::PayloadPtr payload) {
+  chord::AppMessage msg;
+  msg.target = to;
+  msg.cls = sim::MsgClass::kControl;
+  msg.payload = std::move(payload);
+  if (ctx.options().reliability.enabled) reliability::Arm(ctx, from, msg);
+  ctx.TransmitMessage(from, to, std::move(msg));
+}
 
-  // We hold the bucket: pick the next identifier and its successor.
-  auto held = state.rewriter.held_generation.find(mkey);
-  int next_gen =
-      (held == state.rewriter.held_generation.end() ? 0 : held->second) + 1;
+/// Moves the bucket this node holds for `mkey` to the successor of the
+/// key's next-generation identifier and points the base at it. `base` is
+/// zero when this node is the base itself.
+void MoveBucket(ProtocolContext& ctx, chord::Node& node, State& state,
+                const std::string& mkey, const chord::NodeId& base) {
+  auto held = state.held_generation.find(mkey);
+  int next_gen = (held == state.held_generation.end() ? 0 : held->second) + 1;
   chord::NodeId new_id = HashKey(mkey + "#m" + std::to_string(next_gen));
   chord::Node* target = node.FindSuccessor(new_id, sim::MsgClass::kControl);
-  chord::Node* base = &node;
-  if (p.base != chord::NodeId()) {
-    chord::Node* b = ctx.NodeById(p.base);
-    if (b != nullptr) base = b;
-  }
   if (target == nullptr) return;
   if (target == &node) {
     // The fresh identifier still lands here; only the generation advances.
-    state.rewriter.held_generation[mkey] = next_gen;
+    state.held_generation[mkey] = next_gen;
     return;
   }
 
   // Move the bucket and its statistics (one control transfer).
-  auto bucket = std::make_shared<AttrLevelQueryTable::GroupMap>(
-      state.rewriter.alqt.TakeLevel1(mkey));
-  auto stats = std::make_shared<AttrArrivalStats>();
-  auto stats_it = state.rewriter.attr_stats.find(mkey);
-  if (stats_it != state.rewriter.attr_stats.end()) {
-    *stats = std::move(stats_it->second);
-    state.rewriter.attr_stats.erase(stats_it);
+  auto bucket = std::make_shared<MigrateBucketPayload>();
+  bucket->mkey = mkey;
+  bucket->generation = next_gen;
+  for (auto& [signature, group] : state.alqt.TakeLevel1(mkey)) {
+    for (AlqtEntry& entry : group) bucket->queries.push_back(std::move(entry));
   }
-  state.rewriter.held_generation.erase(mkey);
-  ctx.Transmit(&node, target, sim::MsgClass::kControl,
-               [ctx = &ctx, target, mkey, bucket, stats, next_gen]() {
-                 rewriter::State& ts = ctx->StateOf(*target).rewriter;
-                 for (auto& [signature, group] : *bucket) {
-                   for (AlqtEntry& entry : group) {
-                     ts.alqt.Insert(mkey, signature, std::move(entry));
-                   }
-                 }
-                 ts.attr_stats[mkey].Merge(*stats);
-                 ts.held_generation[mkey] = next_gen;
-               });
+  auto stats = state.attr_stats.find(mkey);
+  if (stats != state.attr_stats.end()) {
+    bucket->tuples_seen = stats->second.tuples_seen;
+    bucket->value_counts = std::move(stats->second.value_counts);
+    bucket->overflow_values = stats->second.overflow_values;
+    state.attr_stats.erase(stats);
+  }
+  state.held_generation.erase(mkey);
+  SendMigrationState(ctx, node, target->id(), std::move(bucket));
 
   // Point the base at the new holder.
-  if (base == &node) {
-    state.rewriter.moved_attrs[mkey] = State::MovedAttr{next_gen, target};
-  } else {
-    ctx.Transmit(&node, base, sim::MsgClass::kControl,
-                 [ctx = &ctx, base, mkey, target, next_gen]() {
-                   ctx->StateOf(*base).rewriter.moved_attrs[mkey] =
-                       State::MovedAttr{next_gen, target};
-                 });
+  if (base == chord::NodeId() || base == node.id()) {
+    state.moved_attrs[mkey] = State::MovedAttr{next_gen, target->id()};
+    return;
   }
+  auto pointer = std::make_shared<MovedPointerPayload>();
+  pointer->mkey = mkey;
+  pointer->generation = next_gen;
+  pointer->holder = target->id();
+  SendMigrationState(ctx, node, base, std::move(pointer));
+}
+
+}  // namespace
+
+void HandleMigrateCmd(ProtocolContext& ctx, chord::Node& node,
+                      const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const MigrateCmdPayload*>(msg.payload.get());
+  State& state = ctx.StateOf(node).rewriter;
+  std::string mkey = MKey(p.level1, p.replica);
+
+  // At the base node of an already-moved key: forward to the holder, with
+  // the base recorded so the holder can update our pointer afterwards.
+  auto moved = state.moved_attrs.find(mkey);
+  if (moved != state.moved_attrs.end() &&
+      IsAlive(ctx, moved->second.holder)) {
+    auto fwd = std::make_shared<MigrateCmdPayload>(p);
+    fwd->base = node.id();
+    chord::AppMessage copy = msg;
+    copy.payload = std::move(fwd);
+    ctx.TransmitMessage(node, moved->second.holder, std::move(copy));
+    return;
+  }
+  MoveBucket(ctx, node, state, mkey, p.base);
+}
+
+void HandleMigrateBucket(ProtocolContext& ctx, chord::Node& node,
+                         const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const MigrateBucketPayload*>(msg.payload.get());
+  State& state = ctx.StateOf(node).rewriter;
+  for (const AlqtEntry& entry : p.queries) {
+    state.alqt.Insert(p.mkey, entry.query->signature(), entry);
+  }
+  AttrArrivalStats stats;
+  stats.tuples_seen = p.tuples_seen;
+  stats.value_counts = p.value_counts;
+  stats.overflow_values = p.overflow_values;
+  state.attr_stats[p.mkey].Merge(stats);
+  state.held_generation[p.mkey] = p.generation;
+}
+
+void HandleMovedPointer(ProtocolContext& ctx, chord::Node& node,
+                        const chord::AppMessage& msg) {
+  const auto& p = *static_cast<const MovedPointerPayload*>(msg.payload.get());
+  ctx.StateOf(node).rewriter.moved_attrs[p.mkey] =
+      State::MovedAttr{p.generation, p.holder};
 }
 
 void HandleJfrtAck(ProtocolContext& ctx, chord::Node& node,
                    const chord::AppMessage& msg) {
   const auto& p = *static_cast<const JfrtAckPayload*>(msg.payload.get());
-  chord::Node* evaluator = ctx.NodeById(p.evaluator);
-  if (evaluator == nullptr || !evaluator->alive()) return;
-  ctx.StateOf(node).rewriter.jfrt.Insert(p.vindex, evaluator);
+  if (!IsAlive(ctx, p.evaluator)) return;
+  ctx.StateOf(node).rewriter.jfrt.Insert(p.vindex, p.evaluator);
 }
 
 }  // namespace rewriter

@@ -60,7 +60,7 @@ struct State {
   /// the role now lives; at the holder, the generation it holds.
   struct MovedAttr {
     int generation;
-    chord::Node* holder;
+    chord::NodeId holder;
   };
   std::unordered_map<std::string, MovedAttr> moved_attrs;
   std::unordered_map<std::string, int> held_generation;
@@ -86,6 +86,10 @@ void HandleUnsubscribe(ProtocolContext& ctx, chord::Node& node,
                        const chord::AppMessage& msg);
 void HandleMigrateCmd(ProtocolContext& ctx, chord::Node& node,
                       const chord::AppMessage& msg);
+void HandleMigrateBucket(ProtocolContext& ctx, chord::Node& node,
+                         const chord::AppMessage& msg);
+void HandleMovedPointer(ProtocolContext& ctx, chord::Node& node,
+                        const chord::AppMessage& msg);
 void HandleJfrtAck(ProtocolContext& ctx, chord::Node& node,
                    const chord::AppMessage& msg);
 

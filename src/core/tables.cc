@@ -11,7 +11,7 @@ void AttrLevelQueryTable::Insert(const std::string& level1,
   for (const AlqtEntry& existing : group) {
     if (existing.query->key() == entry.query->key() &&
         existing.index_side == entry.index_side) {
-      return;  // Redelivered or replayed indexing: already stored.
+      return;  // Retried or replayed indexing: already stored.
     }
   }
   group.push_back(std::move(entry));
@@ -185,7 +185,7 @@ void ValueLevelTupleTable::Insert(const std::string& level1,
   for (const StoredTuple& existing : bucket) {
     if (existing.tuple->seq() == stored.tuple->seq() &&
         existing.index_attr == stored.index_attr) {
-      return;  // Redelivered or replayed publication: already stored.
+      return;  // Retried or replayed publication: already stored.
     }
   }
   bucket.push_back(std::move(stored));
@@ -263,7 +263,7 @@ void DaivStore::Insert(const std::string& value_key,
                        DaivStored stored) {
   Bucket& bucket = map_[value_key][SubKey(query_key, side)];
   for (const DaivStored& existing : bucket) {
-    if (existing.seq == stored.seq) return;  // Redelivered projection.
+    if (existing.seq == stored.seq) return;  // Retried projection.
   }
   bucket.push_back(std::move(stored));
   ++size_;

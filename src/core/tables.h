@@ -23,12 +23,6 @@ namespace contjoin::core {
 
 // --- ALQT ----------------------------------------------------------------------
 
-/// A query stored at a rewriter, together with the side it is indexed by.
-struct AlqtEntry {
-  query::QueryPtr query;
-  int index_side = 0;
-};
-
 /// Attribute-level query table: level 1 keyed by the index attribute
 /// ("R+A"), level 2 by the join-condition signature, grouping similar
 /// queries so a tuple triggers a whole group in one step (§4.3.5).

@@ -1,5 +1,5 @@
 // Deterministic fault injection for the simulated overlay. A FaultPlan is
-// consulted by chord::Network::Transmit for every scheduled hop and decides
+// consulted by chord::Network::TransmitFrame for every hop and decides
 // whether the message is dropped, duplicated, or delivered with extra
 // latency. Decisions are pure hashes of (plan seed, stream, sequence,
 // class): the fate of transmission k of sender s is a function of the plan
@@ -86,7 +86,7 @@ class FaultPlan {
 
   /// Decides the fate of one transmission of class `c` on the plan's own
   /// serial stream (stream 0). Only valid from single-threaded call sites
-  /// (tests, drivers); Transmit uses the keyed form below.
+  /// (tests, drivers); TransmitFrame uses the keyed form below.
   FaultDecision Decide(sim::MsgClass c) { return Decide(c, 0, serial_seq_++); }
 
   /// Decides the fate of transmission `seq` of `stream` for class `c`.

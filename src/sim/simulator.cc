@@ -102,7 +102,6 @@ void Simulator::RunEvent(size_t index, std::vector<PendingChild>* children) {
   ctx.sim = this;
   ctx.children = children;
   batch_[index].action();
-  if (post_action_hook_) post_action_hook_();
   ctx.sim = nullptr;
   ctx.children = nullptr;
 }

@@ -128,13 +128,6 @@ class Simulator {
   void SetWorkers(int workers);
   int workers() const { return workers_; }
 
-  /// Hook invoked after every handler returns, on the thread that ran it
-  /// and while its scheduling context is still installed (the network layer
-  /// uses this to seal per-destination coalescing buffers).
-  void set_post_action_hook(std::function<void()> hook) {
-    post_action_hook_ = std::move(hook);
-  }
-
   /// True when the calling thread is currently executing an event of this
   /// simulator.
   bool InExecution() const;
@@ -198,7 +191,6 @@ class Simulator {
   uint64_t events_run_ = 0;
   uint64_t parallel_batches_run_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::function<void()> post_action_hook_;
 
   // Epoch scratch state, owned by the coordinating thread; workers read it
   // only between the generation hand-off and their active-count decrement,

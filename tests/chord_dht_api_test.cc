@@ -1,9 +1,9 @@
-// The classic DHT put/get interface (paper §2.1).
+// The put half of the classic DHT interface (paper §2.1): items land at,
+// and follow, the node responsible for their key.
 
 #include <gtest/gtest.h>
 
 #include "chord_test_util.h"
-#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace contjoin::chord {
@@ -21,37 +21,25 @@ class DhtApiTest : public ::testing::Test {
   std::vector<Node*> nodes_;
 };
 
-TEST_F(DhtApiTest, PutThenGetRoundTrips) {
+/// Tags of the items `node` stores under `key` (left stored).
+std::vector<int> StoredTags(Node* node, const NodeId& key) {
+  std::vector<PayloadPtr> items = node->store().Take(key);
+  std::vector<int> tags;
+  for (const PayloadPtr& item : items) {
+    tags.push_back(static_cast<const TaggedPayload*>(item.get())->tag);
+    node->store().Put(key, item);
+  }
+  return tags;
+}
+
+TEST_F(DhtApiTest, PutLandsAtResponsibleNode) {
   Build(64);
   NodeId key = HashKey("item-1");
   nodes_[3]->DhtPut(key, std::make_shared<TaggedPayload>(42));
   sim_.Run();
-  // The item landed at the responsible node.
   Node* owner = network_->OracleSuccessor(key);
   EXPECT_EQ(owner->store().size(), 1u);
-
-  std::vector<int> results;
-  nodes_[17]->DhtGet(key, [&](std::vector<PayloadPtr> items) {
-    for (const auto& item : items) {
-      results.push_back(static_cast<const TaggedPayload*>(item.get())->tag);
-    }
-  });
-  sim_.Run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0], 42);
-  // get() copies: the item remains stored.
-  EXPECT_EQ(owner->store().size(), 1u);
-}
-
-TEST_F(DhtApiTest, GetMissingKeyReturnsEmpty) {
-  Build(32);
-  bool called = false;
-  nodes_[0]->DhtGet(HashKey("nothing"), [&](std::vector<PayloadPtr> items) {
-    called = true;
-    EXPECT_TRUE(items.empty());
-  });
-  sim_.Run();
-  EXPECT_TRUE(called);
+  EXPECT_EQ(StoredTags(owner, key), std::vector<int>{42});
 }
 
 TEST_F(DhtApiTest, MultiplePutsAccumulate) {
@@ -62,29 +50,8 @@ TEST_F(DhtApiTest, MultiplePutsAccumulate) {
         key, std::make_shared<TaggedPayload>(i));
     sim_.Run();
   }
-  std::vector<PayloadPtr> got;
-  nodes_[9]->DhtGet(key, [&](std::vector<PayloadPtr> items) {
-    got = std::move(items);
-  });
-  sim_.Run();
-  EXPECT_EQ(got.size(), 3u);
-}
-
-TEST_F(DhtApiTest, LocalGetCostsNoHops) {
-  Build(16);
-  NodeId key = HashKey("local");
-  Node* owner = network_->OracleSuccessor(key);
-  owner->DhtPut(key, std::make_shared<TaggedPayload>(1));
-  sim_.Run();
-  uint64_t before = network_->stats().total_hops();
-  bool called = false;
-  owner->DhtGet(key, [&](std::vector<PayloadPtr> items) {
-    called = true;
-    EXPECT_EQ(items.size(), 1u);
-  });
-  sim_.Run();
-  EXPECT_TRUE(called);
-  EXPECT_EQ(network_->stats().total_hops(), before);
+  EXPECT_EQ(StoredTags(network_->OracleSuccessor(key), key),
+            (std::vector<int>{0, 1, 2}));
 }
 
 TEST_F(DhtApiTest, ItemsFollowResponsibilityOnJoin) {
@@ -105,26 +72,6 @@ TEST_F(DhtApiTest, ItemsFollowResponsibilityOnJoin) {
   Node* owner = network.OracleSuccessor(key);
   EXPECT_EQ(owner->store().size(), 1u) << "item did not follow ownership";
   (void)c;
-}
-
-TEST_F(DhtApiTest, GetCostIsLogarithmic) {
-  Build(512);
-  NodeId key = HashKey("cost");
-  nodes_[0]->DhtPut(key, std::make_shared<TaggedPayload>(1));
-  sim_.Run();
-  uint64_t before = network_->stats().total_hops();
-  int done = 0;
-  const int kGets = 50;
-  Rng rng(3);
-  for (int i = 0; i < kGets; ++i) {
-    nodes_[rng.NextBelow(nodes_.size())]->DhtGet(
-        key, [&](std::vector<PayloadPtr>) { ++done; });
-    sim_.Run();
-  }
-  EXPECT_EQ(done, kGets);
-  double per_get =
-      static_cast<double>(network_->stats().total_hops() - before) / kGets;
-  EXPECT_LT(per_get, 2.0 + 9.0 * 2);  // route (~log2 512) + 1 response.
 }
 
 }  // namespace

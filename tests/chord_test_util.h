@@ -3,6 +3,7 @@
 #ifndef CONTJOIN_TESTS_CHORD_TEST_UTIL_H_
 #define CONTJOIN_TESTS_CHORD_TEST_UTIL_H_
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@ struct TaggedPayload : Payload {
 };
 
 /// Records every delivery (node, target, tag) and stored-item hand-off.
+/// Deliveries to different nodes may run on different worker threads
+/// (CONTJOIN_THREADS), so recording is serialized.
 class CaptureApp : public Application {
  public:
   struct Delivery {
@@ -32,11 +35,13 @@ class CaptureApp : public Application {
     if (const auto* p = dynamic_cast<const TaggedPayload*>(msg.payload.get())) {
       tag = p->tag;
     }
+    std::lock_guard<std::mutex> lock(mu_);
     deliveries.push_back(Delivery{&node, msg.target, tag});
   }
 
   void HandleStoredItems(Node& node, const NodeId& key,
                          std::vector<PayloadPtr> items) override {
+    std::lock_guard<std::mutex> lock(mu_);
     for (PayloadPtr& item : items) {
       stored_handoffs.push_back({&node, key, -1});
       node.store().Put(key, std::move(item));
@@ -45,6 +50,9 @@ class CaptureApp : public Application {
 
   std::vector<Delivery> deliveries;
   std::vector<Delivery> stored_handoffs;
+
+ private:
+  std::mutex mu_;
 };
 
 inline AppMessage MakeMsg(const NodeId& target, int tag,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/state.h"
 #include "reference/reference_engine.h"
 #include "workload/workload.h"
 
@@ -103,6 +104,45 @@ TEST(JfrtIntegrationTest, DeadCachedEvaluatorFallsBackToRouting) {
     if (n.row[0] == Value::Int(2) && n.row[1] == Value::Int(5)) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// A join fingers hit is an ordinary typed delivery: the dispatcher counts
+// it like a routed join, so the per-type receive counters and the
+// evaluators' join counters agree.
+TEST(JfrtIntegrationTest, DispatcherCountsDirectJoinDeliveries) {
+  for (Algorithm algorithm : {Algorithm::kDaiT, Algorithm::kDaiV}) {
+    Options opts;
+    opts.num_nodes = 64;
+    opts.algorithm = algorithm;
+    opts.use_jfrt = true;
+    opts.seed = 3;
+    ContinuousQueryNetwork net(opts);
+    workload::WorkloadOptions wopts;
+    wopts.seed = 3;
+    wopts.domain = 20;
+    workload::WorkloadGenerator gen(wopts);
+    ASSERT_TRUE(gen.RegisterSchemas(net.catalog()).ok());
+    for (size_t i = 0; i < 20; ++i) {
+      ASSERT_TRUE(net.SubmitQuery(i % opts.num_nodes, gen.NextQuerySql()).ok());
+    }
+    for (size_t i = 0; i < 200; ++i) {
+      auto [relation, values] = gen.NextTuple();
+      ASSERT_TRUE(
+          net.InsertTuple(i % opts.num_nodes, relation, std::move(values))
+              .ok());
+    }
+
+    uint64_t jfrt_hits = 0;
+    for (size_t i = 0; i < net.num_nodes(); ++i) {
+      jfrt_hits += net.state(i)->rewriter.jfrt.hits();
+    }
+    EXPECT_GT(jfrt_hits, 0u) << AlgorithmName(algorithm);
+    const NodeMetrics m = net.TotalMetrics();
+    EXPECT_EQ(m.received_by_type[static_cast<size_t>(CqMsgType::kJoin)] +
+                  m.received_by_type[static_cast<size_t>(CqMsgType::kDaivJoin)],
+              m.joins_received)
+        << AlgorithmName(algorithm);
+  }
 }
 
 // --- Attribute-level replication (§4.7) -----------------------------------------

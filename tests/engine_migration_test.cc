@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "core/engine.h"
 
 namespace contjoin::core {
@@ -81,7 +84,7 @@ TEST_P(MigrationTest, BucketActuallyMoves) {
   // way once the key moves.
   auto moved = base_state->rewriter.moved_attrs.find("R+B#0");
   ASSERT_NE(moved, base_state->rewriter.moved_attrs.end());
-  chord::Node* holder = moved->second.holder;
+  chord::Node* holder = net->network()->FindById(moved->second.holder);
   ASSERT_NE(holder, nullptr);
   ASSERT_NE(holder, base);
   // Whatever R+B queries the base held now live at the holder.
@@ -155,6 +158,47 @@ TEST_P(MigrationTest, UnsubscribeFollowsTheMove) {
   ASSERT_TRUE(net->InsertTuple(3, "S", {Value::Int(5), Value::Int(7)}).ok());
   EXPECT_TRUE(net->TakeNotifications(0).empty());
   EXPECT_EQ(net->TotalStorage().alqt_queries, 0u);
+}
+
+// A dropped control hop must not strand a moved bucket: with reliable
+// delivery on, the §4.7 bucket transfer and the moved-pointer update are
+// retried like any other critical message, so every answer still arrives.
+TEST_P(MigrationTest, DroppedControlHopsNeverStrandAMovedBucket) {
+  auto net = MakeNet([](Options* o) {
+    o->reliability.enabled = true;
+    o->faults.seed = 3;
+    o->faults.profile(sim::MsgClass::kControl).drop_prob = 0.3;
+  });
+  ASSERT_TRUE(
+      net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E").ok());
+  // Repeated moves of both possible rewriter keys: at this drop rate some
+  // transfer or pointer update is lost unless it is retried.
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(net->MigrateAttribute(1, "R", "B").ok());
+    ASSERT_TRUE(net->MigrateAttribute(1, "S", "E").ok());
+  }
+  std::set<std::pair<int64_t, int64_t>> expected;
+  for (int64_t v = 0; v < 4; ++v) {
+    for (int64_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          net->InsertTuple(2, "R", {Value::Int(10 * v + i), Value::Int(v)})
+              .ok());
+      ASSERT_TRUE(net->InsertTuple(
+                         3, "S", {Value::Int(100 + 10 * v + i), Value::Int(v)})
+                      .ok());
+    }
+    for (int64_t a = 0; a < 2; ++a) {
+      for (int64_t d = 0; d < 2; ++d) {
+        expected.insert({10 * v + a, 100 + 10 * v + d});
+      }
+    }
+  }
+  std::set<std::pair<int64_t, int64_t>> delivered;
+  for (const Notification& n : net->TakeNotifications(0)) {
+    delivered.insert({n.row[0].as_int(), n.row[1].as_int()});
+  }
+  EXPECT_EQ(delivered, expected);
+  EXPECT_GT(net->stats().dropped(sim::MsgClass::kControl), 0u);
 }
 
 TEST_P(MigrationTest, ErrorsAreReported) {

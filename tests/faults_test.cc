@@ -1,7 +1,7 @@
 // Unit tests for the fault-injection layer: deterministic FaultPlan
 // decisions, per-class targeting, scripted churn schedules, per-class drop
-// accounting in NetStats, and the Transmit integration (drop / duplicate /
-// extra-delay behaviour of a planned hop).
+// accounting in NetStats, and the TransmitFrame integration (drop /
+// duplicate / extra-delay behaviour of a planned typed hop).
 
 #include <string>
 #include <vector>
@@ -182,18 +182,42 @@ TEST(AppMessage, ReliableFieldsDefaultToUnarmed) {
   EXPECT_EQ(msg.reliable_origin, chord::NodeId{});
 }
 
-// --- Transmit integration ---------------------------------------------------
+// --- TransmitFrame integration -----------------------------------------------
 
 struct PlannedRing {
   sim::Simulator simulator;
-  Network network{&simulator};
+  Network network;
   std::vector<Node*> nodes;
   chord::CaptureApp app;
 
-  explicit PlannedRing(size_t n) {
+  explicit PlannedRing(size_t n, NetworkOptions options = {})
+      : network(&simulator, options) {
     nodes = network.BuildIdealRing(n);
     for (Node* node : nodes) node->set_app(&app);
   }
+
+  /// One typed direct hop nodes[0] -> nodes[1] of class `cls`.
+  void SendDirect(MsgClass cls) {
+    chord::HopFrame frame;
+    frame.kind = chord::HopFrame::Kind::kDeliver;
+    frame.cls = cls;
+    frame.msgs.push_back(chord::MakeMsg(nodes[1]->id(), /*tag=*/1, cls));
+    network.TransmitFrame(nodes[0], nodes[1], std::move(frame));
+  }
+};
+
+/// Records the virtual time of every delivery.
+class TimingApp : public chord::Application {
+ public:
+  explicit TimingApp(const sim::Simulator* simulator)
+      : simulator_(simulator) {}
+  void HandleMessage(Node&, const chord::AppMessage&) override {
+    delivered_at.push_back(simulator_->Now());
+  }
+  std::vector<sim::SimTime> delivered_at;
+
+ private:
+  const sim::Simulator* simulator_;
 };
 
 TEST(TransmitWithPlan, CertainDropLosesActionAndCounts) {
@@ -203,11 +227,9 @@ TEST(TransmitWithPlan, CertainDropLosesActionAndCounts) {
   FaultPlan plan(opts);
   ring.network.set_fault_plan(&plan);
 
-  int delivered = 0;
-  ring.network.Transmit(ring.nodes[0], ring.nodes[1], MsgClass::kNotification,
-                        [&delivered]() { ++delivered; });
+  ring.SendDirect(MsgClass::kNotification);
   ring.simulator.Run();
-  EXPECT_EQ(delivered, 0);
+  EXPECT_TRUE(ring.app.deliveries.empty());
   EXPECT_EQ(ring.network.stats().dropped(MsgClass::kNotification), 1u);
   EXPECT_EQ(plan.injected_drops(), 1u);
   // The hop is still paid for: the message left the sender before it died.
@@ -221,45 +243,43 @@ TEST(TransmitWithPlan, CertainDuplicateDeliversTwice) {
   FaultPlan plan(opts);
   ring.network.set_fault_plan(&plan);
 
-  int delivered = 0;
-  ring.network.Transmit(ring.nodes[0], ring.nodes[1], MsgClass::kControl,
-                        [&delivered]() { ++delivered; });
+  ring.SendDirect(MsgClass::kControl);
   ring.simulator.Run();
-  EXPECT_EQ(delivered, 2);
+  ASSERT_EQ(ring.app.deliveries.size(), 2u);
+  EXPECT_EQ(ring.app.deliveries[0].node, ring.nodes[1]);
+  EXPECT_EQ(ring.app.deliveries[1].node, ring.nodes[1]);
   EXPECT_EQ(plan.injected_duplicates(), 1u);
+  // The duplicate is real traffic: two hops, nothing dropped.
+  EXPECT_EQ(ring.network.stats().hops(MsgClass::kControl), 2u);
   EXPECT_EQ(ring.network.stats().dropped(), 0u);
 }
 
 TEST(TransmitWithPlan, ExtraDelayPostponesDelivery) {
-  sim::Simulator simulator;
-  Network network(&simulator, NetworkOptions{4, /*hop_latency=*/2, 512});
-  std::vector<Node*> nodes = network.BuildIdealRing(4);
+  PlannedRing ring(4, NetworkOptions{4, /*hop_latency=*/2, 512});
+  TimingApp timing(&ring.simulator);
+  ring.nodes[1]->set_app(&timing);
 
   FaultOptions opts;
   FaultProfile& p = opts.profile(MsgClass::kControl);
   p.delay_prob = 1.0;
   p.max_extra_delay = 3;
   FaultPlan plan(opts);
-  network.set_fault_plan(&plan);
+  ring.network.set_fault_plan(&plan);
 
-  sim::SimTime delivered_at = 0;
-  network.Transmit(nodes[0], nodes[1], MsgClass::kControl,
-                   [&]() { delivered_at = simulator.Now(); });
-  simulator.Run();
-  EXPECT_GE(delivered_at, 3u);  // hop_latency + at least 1 extra.
-  EXPECT_LE(delivered_at, 5u);  // hop_latency + at most max_extra_delay.
+  ring.SendDirect(MsgClass::kControl);
+  ring.simulator.Run();
+  ASSERT_EQ(timing.delivered_at.size(), 1u);
+  EXPECT_GE(timing.delivered_at[0], 3u);  // hop_latency + at least 1 extra.
+  EXPECT_LE(timing.delivered_at[0], 5u);  // hop_latency + at most max_extra.
   EXPECT_EQ(plan.injected_delays(), 1u);
 }
 
 TEST(TransmitWithPlan, NoPlanIsLossFree) {
   PlannedRing ring(4);
-  int delivered = 0;
-  for (int i = 0; i < 20; ++i) {
-    ring.network.Transmit(ring.nodes[0], ring.nodes[1], MsgClass::kNotification,
-                          [&delivered]() { ++delivered; });
-  }
+  for (int i = 0; i < 20; ++i) ring.SendDirect(MsgClass::kNotification);
   ring.simulator.Run();
-  EXPECT_EQ(delivered, 20);
+  EXPECT_EQ(ring.app.deliveries.size(), 20u);
+  EXPECT_EQ(ring.network.stats().hops(MsgClass::kNotification), 20u);
   EXPECT_EQ(ring.network.stats().dropped(), 0u);
 }
 

@@ -29,11 +29,11 @@
 namespace contjoin::core {
 namespace {
 
-static_assert(kCqMsgTypeCount == 18,
+static_assert(kCqMsgTypeCount == 21,
               "CqMsgType changed: update the payload coverage below, the "
               "dispatch registry, and this count");
 
-static_assert(static_cast<size_t>(CqMsgType::kAdaptSplit) + 1 ==
+static_assert(static_cast<size_t>(CqMsgType::kMovedPointer) + 1 ==
                   kCqMsgTypeCount,
               "kCqMsgTypeCount must be derived from the last enumerator");
 
@@ -69,6 +69,9 @@ TEST(MessagesTest, EveryEnumeratorHasExactlyOnePayloadTag) {
   tag(NotificationDigestPayload().type);
   tag(AdaptReplicatePayload().type);
   tag(AdaptSplitPayload().type);
+  tag(OtjResultPayload().type);
+  tag(MigrateBucketPayload().type);
+  tag(MovedPointerPayload().type);
 
   EXPECT_TRUE(tagged.all()) << "untagged enumerators: " << tagged.to_string();
 }
@@ -93,6 +96,9 @@ TEST(MessagesTest, PayloadTagsMatchTheIntendedEnumerator) {
             CqMsgType::kNotificationDigest);
   EXPECT_EQ(AdaptReplicatePayload().type, CqMsgType::kAdaptReplicate);
   EXPECT_EQ(AdaptSplitPayload().type, CqMsgType::kAdaptSplit);
+  EXPECT_EQ(OtjResultPayload().type, CqMsgType::kOtjResult);
+  EXPECT_EQ(MigrateBucketPayload().type, CqMsgType::kMigrateBucket);
+  EXPECT_EQ(MovedPointerPayload().type, CqMsgType::kMovedPointer);
 }
 
 // --- Wire-codec round trips ---------------------------------------------------
@@ -453,6 +459,44 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.version = rng.Next();
       ExpectRoundTrip(p);
     }
+    {
+      OtjResultPayload p;
+      p.otj_id = rng.Next();
+      for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
+        Notification row;
+        row.query_key = RandomString(rng);
+        for (size_t j = 0, m = rng.NextBelow(4); j < m; ++j) {
+          row.row.push_back(RandomValue(rng));
+        }
+        row.earlier_pub = rng.Next();
+        row.later_pub = rng.Next();
+        row.created_at = rng.Next();
+        p.rows.push_back(std::move(row));
+      }
+      ExpectRoundTrip(p);
+    }
+    {
+      MigrateBucketPayload p;
+      p.mkey = RandomString(rng);
+      p.generation = 1 + static_cast<int>(rng.NextBelow(8));
+      for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
+        p.queries.push_back(AlqtEntry{RandomQuery(rng),
+                                      static_cast<int>(rng.NextBelow(2))});
+      }
+      p.tuples_seen = rng.Next();
+      for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
+        p.value_counts[RandomString(rng)] = rng.Next();
+      }
+      p.overflow_values = rng.Next();
+      ExpectRoundTrip(p);
+    }
+    {
+      MovedPointerPayload p;
+      p.mkey = RandomString(rng);
+      p.generation = 1 + static_cast<int>(rng.NextBelow(8));
+      p.holder = RandomId(rng);
+      ExpectRoundTrip(p);
+    }
   }
 }
 
@@ -582,23 +626,6 @@ TEST_F(CodecRoundTripTest, DhtStoreOfACqPayloadRoundTrips) {
   wire::Writer second;
   ASSERT_TRUE(EncodeAppMessage(out, second));
   EXPECT_EQ(first.bytes(), second.bytes());
-}
-
-TEST_F(CodecRoundTripTest, DhtFetchIsUnencodableByDesign) {
-  auto fetch = std::make_shared<chord::DhtFetchPayload>();
-  chord::AppMessage msg;
-  msg.kind = chord::MsgKind::kDhtFetch;
-  msg.payload = fetch;
-
-  wire::Writer w;
-  EXPECT_FALSE(EncodeAppMessage(msg, w));
-  EXPECT_EQ(w.size(), 0u) << "failed encode must leave the buffer untouched";
-
-  chord::HopFrame frame;
-  frame.kind = chord::HopFrame::Kind::kDeliver;
-  frame.msgs.push_back(msg);
-  EXPECT_TRUE(EncodeHopFrame(frame).empty());
-  EXPECT_EQ(EncodedFrameSize(frame), 0u);
 }
 
 TEST_F(CodecRoundTripTest, HopFramesOfEveryKindRoundTrip) {

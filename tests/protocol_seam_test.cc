@@ -25,8 +25,8 @@
 namespace contjoin::core {
 namespace {
 
-/// Minimal ProtocolContext: records every transport call and delivers
-/// Transmit callbacks synchronously.
+/// Minimal ProtocolContext: records every transport call; resolves only
+/// the nodes registered with AddNode.
 class MockContext : public ProtocolContext {
  public:
   explicit MockContext(Options options)
@@ -58,21 +58,16 @@ class MockContext : public ProtocolContext {
                  sim::MsgClass) override {
     for (auto& m : msgs) sent.push_back(std::move(m));
   }
-  void Transmit(chord::Node* from, chord::Node* to, sim::MsgClass cls,
-                std::function<void()> deliver) override {
-    transmits.push_back({from, to, cls});
-    deliver();
-  }
   void TransmitMessage(chord::Node& from, const chord::NodeId& to,
                        chord::AppMessage msg) override {
     transmitted.push_back({&from, to, std::move(msg)});
   }
   void CountHop(sim::MsgClass) override { ++hops; }
-  void Redeliver(chord::Node& node, const chord::AppMessage& msg) override {
-    redelivered.push_back({&node, msg});
-  }
   chord::Node* NodeByKey(const std::string&) override { return nullptr; }
-  chord::Node* NodeById(const chord::NodeId&) override { return nullptr; }
+  chord::Node* NodeById(const chord::NodeId& id) override {
+    auto it = by_id_.find(id);
+    return it == by_id_.end() ? nullptr : it->second;
+  }
   void DepositNotification(chord::Node&, Notification n) override {
     inbox.push_back(std::move(n));
   }
@@ -85,11 +80,8 @@ class MockContext : public ProtocolContext {
     scheduled.push_back(std::move(fn));
   }
 
-  struct TransmitRecord {
-    chord::Node* from;
-    chord::Node* to;
-    sim::MsgClass cls;
-  };
+  void AddNode(chord::Node* node) { by_id_[node->id()] = node; }
+
   struct TransmitMessageRecord {
     chord::Node* from;
     chord::NodeId to;
@@ -98,9 +90,7 @@ class MockContext : public ProtocolContext {
 
   rel::Timestamp now_time = 0;
   std::vector<chord::AppMessage> sent;
-  std::vector<TransmitRecord> transmits;
   std::vector<TransmitMessageRecord> transmitted;
-  std::vector<std::pair<chord::Node*, chord::AppMessage>> redelivered;
   std::vector<Notification> inbox;
   std::vector<std::function<void()>> scheduled;
   uint64_t hops = 0;
@@ -111,6 +101,7 @@ class MockContext : public ProtocolContext {
   rel::Catalog catalog_;
   Rng rng_;
   std::unordered_map<chord::Node*, std::unique_ptr<NodeState>> states_;
+  std::unordered_map<chord::NodeId, chord::Node*> by_id_;
 };
 
 chord::AppMessage AlTupleMessage(const std::string& level1) {
@@ -133,10 +124,11 @@ TEST(RewriterForwardIfMoved, ForwardsToHolderAndRedelivers) {
   chord::Node base(nullptr, "base", 0);
   chord::Node holder(nullptr, "holder", 0);
   holder.SetAliveDirect(true);
+  ctx.AddNode(&holder);
 
   const std::string mkey = rewriter::MKey("R+A", 0);
   rewriter::State& state = ctx.StateOf(base).rewriter;
-  state.moved_attrs[mkey] = rewriter::State::MovedAttr{1, &holder};
+  state.moved_attrs[mkey] = rewriter::State::MovedAttr{1, holder.id()};
 
   chord::AppMessage msg = AlTupleMessage("R+A");
   EXPECT_TRUE(rewriter::ForwardIfMoved(ctx, base, state, mkey, msg));
@@ -155,10 +147,11 @@ TEST(RewriterForwardIfMoved, FallsBackToBaseWhenHolderIsDead) {
   MockContext ctx{Options{}};
   chord::Node base(nullptr, "base", 0);
   chord::Node holder(nullptr, "holder", 0);  // Never joined: not alive.
+  ctx.AddNode(&holder);
 
   const std::string mkey = rewriter::MKey("R+A", 0);
   rewriter::State& state = ctx.StateOf(base).rewriter;
-  state.moved_attrs[mkey] = rewriter::State::MovedAttr{1, &holder};
+  state.moved_attrs[mkey] = rewriter::State::MovedAttr{1, holder.id()};
 
   chord::AppMessage msg = AlTupleMessage("R+A");
   EXPECT_FALSE(rewriter::ForwardIfMoved(ctx, base, state, mkey, msg));
@@ -176,7 +169,6 @@ TEST(RewriterForwardIfMoved, IgnoresUnmovedKeys) {
   EXPECT_FALSE(
       rewriter::ForwardIfMoved(ctx, base, state, rewriter::MKey("R+A", 0), msg));
   EXPECT_TRUE(ctx.transmitted.empty());
-  EXPECT_TRUE(ctx.redelivered.empty());
 }
 
 // --- Evaluator: sliding-window expiry ------------------------------------------
@@ -260,6 +252,9 @@ std::vector<chord::AppMessage> OneMessagePerType() {
       std::make_shared<NotificationDigestPayload>(),
       std::make_shared<AdaptReplicatePayload>(),
       std::make_shared<AdaptSplitPayload>(),
+      std::make_shared<OtjResultPayload>(),
+      std::make_shared<MigrateBucketPayload>(),
+      std::make_shared<MovedPointerPayload>(),
   };
   std::vector<chord::AppMessage> msgs;
   for (auto& p : payloads) {

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/algorithm.h"
 #include "core/context.h"
+#include "core/dispatch.h"
 #include "core/engine.h"
 #include "core/messages.h"
 #include "core/reliability.h"
@@ -30,7 +31,7 @@
 namespace contjoin::core {
 namespace {
 
-/// ProtocolContext with a real id->node table, synchronous Transmit and a
+/// ProtocolContext with a real id->node table, recorded sends and a
 /// controllable clock — the seams reliability:: needs, nothing more.
 class ReliabilityMockContext : public ProtocolContext {
  public:
@@ -63,19 +64,11 @@ class ReliabilityMockContext : public ProtocolContext {
                  sim::MsgClass) override {
     for (auto& m : msgs) sent.push_back(std::move(m));
   }
-  void Transmit(chord::Node* from, chord::Node* to, sim::MsgClass cls,
-                std::function<void()> deliver) override {
-    transmits.push_back({from, to, cls});
-    deliver();
-  }
   void TransmitMessage(chord::Node& from, const chord::NodeId& to,
                        chord::AppMessage msg) override {
     transmitted.push_back({&from, to, std::move(msg)});
   }
   void CountHop(sim::MsgClass) override {}
-  void Redeliver(chord::Node& node, const chord::AppMessage& msg) override {
-    redelivered.push_back({&node, msg});
-  }
   chord::Node* NodeByKey(const std::string&) override { return nullptr; }
   chord::Node* NodeById(const chord::NodeId& id) override {
     auto it = by_id_.find(id);
@@ -94,11 +87,6 @@ class ReliabilityMockContext : public ProtocolContext {
   void AddNode(chord::Node* node) { by_id_[node->id()] = node; }
   void RemoveNode(chord::Node* node) { by_id_.erase(node->id()); }
 
-  struct TransmitRecord {
-    chord::Node* from;
-    chord::Node* to;
-    sim::MsgClass cls;
-  };
   struct TransmitMessageRecord {
     chord::Node* from;
     chord::NodeId to;
@@ -107,9 +95,7 @@ class ReliabilityMockContext : public ProtocolContext {
 
   rel::Timestamp now_time = 0;
   std::vector<chord::AppMessage> sent;
-  std::vector<TransmitRecord> transmits;
   std::vector<TransmitMessageRecord> transmitted;
-  std::vector<std::pair<chord::Node*, chord::AppMessage>> redelivered;
   std::vector<std::function<void()>> scheduled;
   uint64_t next_reliable_id = 0;
 
@@ -221,6 +207,44 @@ TEST(ReliabilityOrigin, SelfDeliveryConfirmsInPlaceWithoutAckTraffic) {
 }
 
 // --- Bounded dedup set ---------------------------------------------------------
+
+// --- Stale join-fingers entries -------------------------------------------------
+
+// A join that reaches a node through a stale JFRT entry is re-routed before
+// any reliable-delivery bookkeeping: the forwarding node neither acks nor
+// records the id, so the origin keeps its retry armed until the true
+// evaluator acks the re-routed copy (same id, now asking for a JFRT ack).
+TEST(ReliabilityStaleJfrt, ForwardingNodeNeitherAcksNorDedups) {
+  ReliabilityMockContext ctx{ReliableOptions()};
+  chord::Node origin(nullptr, "origin", 0, /*serial=*/1);
+  chord::Node pred(nullptr, "pred", 0, /*serial=*/2);
+  chord::Node stale(nullptr, "stale", 0, /*serial=*/3);
+  for (chord::Node* n : {&origin, &pred, &stale}) {
+    n->SetAliveDirect(true);
+    ctx.AddNode(n);
+  }
+  stale.SetPredecessorDirect(&pred);
+
+  chord::AppMessage msg;
+  msg.target = pred.id();  // Outside (pred, stale]: not stale's to own.
+  msg.cls = sim::MsgClass::kRewrittenQuery;
+  msg.payload = std::make_shared<JoinPayload>();
+  reliability::Arm(ctx, origin, msg);
+
+  EXPECT_TRUE(MessageDispatcher::Default().Dispatch(ctx, stale, msg));
+  EXPECT_TRUE(ctx.transmitted.empty()) << "stale node acked a forward";
+  EXPECT_TRUE(ctx.StateOf(stale).reliability.seen.empty());
+  EXPECT_EQ(ctx.StateOf(stale).metrics.received_by_type[static_cast<size_t>(
+                CqMsgType::kJoin)],
+            0u);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  EXPECT_EQ(ctx.sent[0].target, msg.target);
+  EXPECT_EQ(ctx.sent[0].reliable_id, msg.reliable_id);
+  EXPECT_EQ(ctx.sent[0].reliable_origin, origin.id());
+  EXPECT_TRUE(static_cast<const JoinPayload&>(*ctx.sent[0].payload).want_ack);
+  EXPECT_EQ(ctx.StateOf(origin).reliability.pending.count(msg.reliable_id),
+            1u);
+}
 
 TEST(ReliabilitySeen, DedupSetRetiresLapsedIdsAndStaysBounded) {
   ReliabilityMockContext ctx{ReliableOptions()};

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Loopback smoke test of the socket transport: boots a 5-process
-# contjoin_noded ring, pushes a small SAI and DAI-V workload through
-# contjoin_client, and diffs the delivered notification content keys
-# against an identical in-process run (the oracle). Reliability is on, so
-# the ack/retry/dedup path crosses process boundaries too.
+# contjoin_noded ring, pushes a small workload through contjoin_client under
+# each of the four algorithms (SAI, DAI-Q, DAI-T, DAI-V), and diffs the
+# delivered notification content keys against an identical in-process run
+# (the oracle). Reliability is on, so the ack/retry/dedup path crosses
+# process boundaries too.
 #
 # Usage: tcp_ring_smoke.sh <contjoin_noded> <contjoin_client>
 set -u
@@ -60,7 +61,7 @@ run_ring() {
 
 status=0
 port=$((20000 + RANDOM % 20000))
-for algo in sai daiv; do
+for algo in sai daiq dait daiv; do
   if ! run_ring "$algo" "$port"; then
     status=1
     continue

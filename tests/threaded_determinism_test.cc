@@ -1,14 +1,10 @@
 // End-to-end determinism contract of the parallel simulator core: a full
 // engine scenario (query installation, wave-streamed tuples, reliable
 // delivery) must produce byte-for-byte identical notification streams,
-// traffic statistics and metrics at every worker count. Also checks the
-// sender-side coalescing mode against the uncoalesced run: same hop
-// accounting and same notification *content* (per-destination order is
-// preserved; cross-class interleaving may legally differ).
+// traffic statistics and metrics at every worker count.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,19 +18,16 @@ namespace contjoin {
 namespace {
 
 struct ScenarioResult {
-  std::string digest;            // Order-sensitive serialization.
-  std::vector<std::string> content;  // Sorted notification content keys.
+  std::string digest;  // Order-sensitive serialization.
   uint64_t parallel_batches = 0;
   uint64_t total_hops = 0;
-  uint64_t dropped = 0;
   size_t notifications = 0;
 };
 
-workload::DriverConfig ScenarioConfig(bool coalesce) {
+workload::DriverConfig ScenarioConfig() {
   workload::DriverConfig cfg;
   cfg.engine.num_nodes = 48;
   cfg.engine.seed = 42;
-  cfg.engine.chord.coalesce = coalesce;
   cfg.engine.reliability.enabled = true;
   cfg.workload.seed = 9;
   cfg.workload.num_relation_pairs = 4;
@@ -44,8 +37,8 @@ workload::DriverConfig ScenarioConfig(bool coalesce) {
   return cfg;
 }
 
-ScenarioResult RunScenario(int workers, bool coalesce) {
-  workload::DriverConfig cfg = ScenarioConfig(coalesce);
+ScenarioResult RunScenario(int workers) {
+  workload::DriverConfig cfg = ScenarioConfig();
   workload::ExperimentDriver driver(cfg);
   core::ContinuousQueryNetwork& net = driver.net();
   net.simulator()->SetWorkers(workers);
@@ -67,15 +60,12 @@ ScenarioResult RunScenario(int workers, bool coalesce) {
   ScenarioResult r;
   r.parallel_batches = net.simulator()->parallel_batches_run();
   r.total_hops = net.stats().total_hops();
-  r.dropped = net.stats().dropped();
   for (size_t i = 0; i < net.num_nodes(); ++i) {
     for (const core::Notification& n : net.TakeNotifications(i)) {
-      std::string key = n.ContentKey();
-      r.digest += std::to_string(i) + "|" + key + "|" +
+      r.digest += std::to_string(i) + "|" + n.ContentKey() + "|" +
                   std::to_string(n.earlier_pub) + "|" +
                   std::to_string(n.later_pub) + "|" +
                   std::to_string(n.created_at) + "\n";
-      r.content.push_back(std::move(key));
       ++r.notifications;
     }
   }
@@ -85,13 +75,12 @@ ScenarioResult RunScenario(int workers, bool coalesce) {
               "|retries=" + std::to_string(totals.reliable_retries) +
               "|acks=" + std::to_string(totals.reliable_acks_sent) +
               "|dups=" + std::to_string(totals.reliable_dups_suppressed);
-  std::sort(r.content.begin(), r.content.end());
   return r;
 }
 
 TEST(ThreadedDeterminism, EightWorkersMatchSerialByteForByte) {
-  ScenarioResult serial = RunScenario(1, /*coalesce=*/false);
-  ScenarioResult threaded = RunScenario(8, /*coalesce=*/false);
+  ScenarioResult serial = RunScenario(1);
+  ScenarioResult threaded = RunScenario(8);
 
   // The scenario must actually exercise the parallel path, and produce
   // answers worth comparing.
@@ -105,29 +94,9 @@ TEST(ThreadedDeterminism, EightWorkersMatchSerialByteForByte) {
 }
 
 TEST(ThreadedDeterminism, IntermediateWorkerCountsAgree) {
-  ScenarioResult two = RunScenario(2, /*coalesce=*/false);
-  ScenarioResult four = RunScenario(4, /*coalesce=*/false);
+  ScenarioResult two = RunScenario(2);
+  ScenarioResult four = RunScenario(4);
   EXPECT_EQ(two.digest, four.digest);
-}
-
-TEST(ThreadedDeterminism, CoalescingPreservesContentAndHopAccounting) {
-  ScenarioResult plain = RunScenario(1, /*coalesce=*/false);
-  ScenarioResult coalesced = RunScenario(1, /*coalesce=*/true);
-
-  // Coalescing batches same-class transmissions into fewer simulator
-  // events; every logical message still pays its hop and every answer is
-  // still delivered. Cross-class per-node interleaving may differ, so the
-  // comparison is on sorted content, hop totals and drop counts.
-  EXPECT_EQ(plain.content, coalesced.content);
-  EXPECT_EQ(plain.total_hops, coalesced.total_hops);
-  EXPECT_EQ(plain.dropped, coalesced.dropped);
-  EXPECT_EQ(plain.notifications, coalesced.notifications);
-}
-
-TEST(ThreadedDeterminism, CoalescingIsDeterministicAcrossWorkerCounts) {
-  ScenarioResult serial = RunScenario(1, /*coalesce=*/true);
-  ScenarioResult threaded = RunScenario(8, /*coalesce=*/true);
-  EXPECT_EQ(serial.digest, threaded.digest);
 }
 
 // The open-loop serving path stacks every new mechanism at once — seeded

@@ -81,8 +81,8 @@ std::string SendRoleOf(const std::string& stem) {
 /// Call names that hand a message to the network.
 const std::set<std::string>& SendCallNames() {
   static const std::set<std::string> kNames = {
-      "Send",     "Multisend", "TransmitMessage", "Broadcast",
-      "Redeliver", "SendReliable", "Transmit", "TransmitHop"};
+      "Send",         "Multisend",  "TransmitMessage", "Broadcast",
+      "SendReliable", "TransmitHop"};
   return kNames;
 }
 
@@ -679,15 +679,14 @@ void CheckFileShardStatics(const SourceFile& f,
   }
 }
 
-/// Spans (paren-open .. matching close) of ctx.Transmit / ctx.ScheduleAfter
-/// call arguments inside `fn` — closures passed there execute on the
-/// destination node's shard, so StateOf(<that node>) inside them is not
-/// an escape.
+/// Spans (paren-open .. matching close) of ctx.ScheduleAfter call arguments
+/// inside `fn` — closures passed there execute on the scheduled node's
+/// shard, so StateOf(<that node>) inside them is not an escape.
 std::vector<std::pair<size_t, size_t>> DeferredClosureSpans(
     const SourceFile& f, const FunctionDef& fn) {
   std::vector<std::pair<size_t, size_t>> spans;
   for (const CallSite& call : fn.calls) {
-    if (call.name != "Transmit" && call.name != "ScheduleAfter") continue;
+    if (call.name != "ScheduleAfter") continue;
     size_t end = MatchBracket(f.code, call.paren, '(', ')');
     if (end != std::string::npos) spans.emplace_back(call.paren, end);
   }
@@ -700,8 +699,8 @@ void CheckFileShardEscape(const SourceFile& f, const SymbolIndex& index,
 
   // (c) Cross-shard writes: a role-module function may pass only its own
   // node parameter to StateOf — other nodes' state belongs to other
-  // shards. Closures handed to ctx.Transmit / ctx.ScheduleAfter are
-  // exempt: they run on the destination node's shard.
+  // shards. Closures handed to ctx.ScheduleAfter are exempt: they run on
+  // the scheduled node's shard.
   for (size_t fn_index : index.functions_by_file[file_index]) {
     const FunctionDef& fn = index.functions[fn_index];
     std::vector<std::pair<size_t, size_t>> deferred =
@@ -730,8 +729,8 @@ void CheckFileShardEscape(const SourceFile& f, const SymbolIndex& index,
                "' escapes the owning shard (own node parameter: " +
                (fn.owner_param.empty() ? std::string("<none>")
                                        : fn.owner_param) +
-               "); mutate other nodes only inside ctx.Transmit / "
-               "ctx.ScheduleAfter closures (or waive with "
+               "); reach other nodes by sending them a message, or inside "
+               "a ctx.ScheduleAfter closure on their shard (or waive with "
                "// contjoin-check: shard-ok(<reason>))"});
     }
   }

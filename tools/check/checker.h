@@ -36,8 +36,8 @@
 //                      not draw from the shared engine RNG (GetRng), may
 //                      touch NodeState only through StateOf(<their own
 //                      node parameter>) — other nodes' state is reachable
-//                      only inside ctx.Transmit / ctx.ScheduleAfter
-//                      closures, which execute on the destination shard —
+//                      only by message, or inside ctx.ScheduleAfter
+//                      closures, which execute on the scheduled shard —
 //                      and must not let unordered-container iteration
 //                      feed a send loop, even through one helper call.
 //                      Waiver: `// contjoin-check: shard-ok(<reason>)`.

@@ -134,8 +134,8 @@ TEST(CheckerTest, ShardEscapeInterproceduralRuleFires) {
   CheckShardEscape(config, &diags);
   // A cross-shard StateOf write, an unordered iteration feeding a send
   // directly, and one feeding a send through a helper (one hop). The
-  // Transmit-closure StateOf, the pure aggregation loop, and the waived
-  // loop are all silent.
+  // ScheduleAfter-closure StateOf, the pure aggregation loop, and the
+  // waived loop are all silent.
   EXPECT_EQ(CountRule(diags, "shard-escape"), 3u);
   EXPECT_TRUE(AnyMessageContains(diags, "StateOf(peer)"));
   EXPECT_TRUE(AnyMessageContains(diags, "container 'pending'"));

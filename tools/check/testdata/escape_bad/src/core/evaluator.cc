@@ -14,8 +14,7 @@ struct Callback {};
 
 struct Ctx {
   State& StateOf(Node& n);
-  void Transmit(Node& n, Callback cb);
-  void ScheduleAfter(int delay, Callback cb);
+  void ScheduleAfter(Node& n, int delay, Callback cb);
   void Send(int target, int payload);
 };
 
@@ -25,9 +24,9 @@ void Evaluate(Ctx& ctx, Node& node, Node& peer) {
   ctx.StateOf(peer).count += 1;
 }
 
-// OK: the closure handed to Transmit executes on the destination shard.
+// OK: the closure handed to ScheduleAfter executes on the peer's shard.
 void Forward(Ctx& ctx, Node& node, Node& peer) {
-  ctx.Transmit(peer, [&ctx, &peer] { ctx.StateOf(peer).count += 1; });
+  ctx.ScheduleAfter(peer, 1, [&ctx, &peer] { ctx.StateOf(peer).count += 1; });
 }
 
 // BAD: hash-table order reaches the wire directly.
