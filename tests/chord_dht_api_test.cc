@@ -21,13 +21,11 @@ class DhtApiTest : public ::testing::Test {
   std::vector<Node*> nodes_;
 };
 
-/// Tags of the items `node` stores under `key` (left stored).
-std::vector<int> StoredTags(Node* node, const NodeId& key) {
-  std::vector<PayloadPtr> items = node->store().Take(key);
+/// Tags of the items `node` stores under `key`, taken out of its store.
+std::vector<int> TakeTags(Node* node, const NodeId& key) {
   std::vector<int> tags;
-  for (const PayloadPtr& item : items) {
+  for (const PayloadPtr& item : node->store().Take(key)) {
     tags.push_back(static_cast<const TaggedPayload*>(item.get())->tag);
-    node->store().Put(key, item);
   }
   return tags;
 }
@@ -39,7 +37,7 @@ TEST_F(DhtApiTest, PutLandsAtResponsibleNode) {
   sim_.Run();
   Node* owner = network_->OracleSuccessor(key);
   EXPECT_EQ(owner->store().size(), 1u);
-  EXPECT_EQ(StoredTags(owner, key), std::vector<int>{42});
+  EXPECT_EQ(TakeTags(owner, key), std::vector<int>{42});
 }
 
 TEST_F(DhtApiTest, MultiplePutsAccumulate) {
@@ -50,7 +48,7 @@ TEST_F(DhtApiTest, MultiplePutsAccumulate) {
         key, std::make_shared<TaggedPayload>(i));
     sim_.Run();
   }
-  EXPECT_EQ(StoredTags(network_->OracleSuccessor(key), key),
+  EXPECT_EQ(TakeTags(network_->OracleSuccessor(key), key),
             (std::vector<int>{0, 1, 2}));
 }
 
