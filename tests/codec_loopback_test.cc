@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -40,6 +41,8 @@ class CodecLoopbackTransport : public chord::Transport {
   void SendHop(chord::Node* from, const chord::NodeId& to,
                chord::HopFrame frame) override {
     frames_.fetch_add(1, std::memory_order_relaxed);
+    frames_by_class_[static_cast<size_t>(frame.cls)].fetch_add(
+        1, std::memory_order_relaxed);
     if (IsStaleJoinDelivery(to, frame)) {
       stale_joins_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -54,6 +57,9 @@ class CodecLoopbackTransport : public chord::Transport {
   }
 
   uint64_t frames() const { return frames_.load(); }
+  uint64_t frames(sim::MsgClass cls) const {
+    return frames_by_class_[static_cast<size_t>(cls)].load();
+  }
   uint64_t undecodable() const { return undecodable_.load(); }
   uint64_t stale_joins() const { return stale_joins_.load(); }
 
@@ -76,6 +82,9 @@ class CodecLoopbackTransport : public chord::Transport {
   chord::Network* network_;
   const rel::Catalog* catalog_;
   std::atomic<uint64_t> frames_{0};
+  std::array<std::atomic<uint64_t>,
+             static_cast<size_t>(sim::MsgClass::kClassCount)>
+      frames_by_class_{};
   std::atomic<uint64_t> undecodable_{0};
   std::atomic<uint64_t> stale_joins_{0};
 };
@@ -202,6 +211,15 @@ TEST_P(CodecLoopbackTest, EveryHopCrossesTheCodecAndStaysExact) {
   EXPECT_EQ(ref::ReferenceEngine::ContentSet(delivered), oracle.ContentSet());
   EXPECT_FALSE(oracle.ContentSet().empty()) << "vacuous scenario";
 
+  // Over the whole run, every class without inline probe or repair
+  // accounting (those are control and maintenance hops) is frames only.
+  for (sim::MsgClass cls :
+       {sim::MsgClass::kQueryIndex, sim::MsgClass::kTupleIndex,
+        sim::MsgClass::kRewrittenQuery, sim::MsgClass::kNotification,
+        sim::MsgClass::kOneTime}) {
+    EXPECT_EQ(net.stats().hops(cls), loopback.frames(cls))
+        << sim::MsgClassName(cls);
+  }
   EXPECT_EQ(loopback.undecodable(), 0u);
   EXPECT_GT(loopback.stale_joins(), 0u) << "no stale JFRT entry was hit";
   const NodeMetrics totals = net.TotalMetrics();
