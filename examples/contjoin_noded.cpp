@@ -12,14 +12,14 @@
 // daemon owning the origin node and drain notifications from the daemon
 // owning each subscriber.
 //
-// Scope: the typed-frame protocol paths (query indexing, tuple indexing,
-// rewriting, evaluation, notification delivery, reliable-delivery
-// acks/retries) all travel the wire. Simulator-only closure interactions
-// (DHT fetch replies, §4.7 migration state transfer, one-time-join result
-// streaming) do not; a frame carrying one is dropped and counted.
+// Scope: every overlay hop is a typed frame, so every protocol path
+// travels the wire: query and tuple indexing, rewriting, evaluation, JFRT
+// direct joins and their acks, notification delivery, reliable-delivery
+// acks/retries, §4.7 migration state transfer and one-time-join results.
 //
 //   $ ./contjoin_noded --index 0 --daemons 5 --nodes 20 --port-base 9800
-//       [--algorithm sai|daiq|dait|daiv] [--reliability on|off] [--seed S]
+//       [--algorithm sai|daiq|dait|daiv] [--reliability on|off]
+//       [--jfrt on|off] [--seed S]
 
 #include <cstdio>
 #include <cstring>
@@ -42,6 +42,7 @@ struct DaemonArgs {
   int port_base = 9800;
   core::Algorithm algorithm = core::Algorithm::kSai;
   bool reliability = true;
+  bool jfrt = false;
   uint64_t seed = 7;
 };
 
@@ -65,6 +66,8 @@ bool ParseArgs(int argc, char** argv, DaemonArgs* out) {
       else return false;
     } else if (flag == "--reliability") {
       out->reliability = value == "on";
+    } else if (flag == "--jfrt") {
+      out->jfrt = value == "on";
     } else if (flag == "--seed") {
       out->seed = std::strtoull(value.c_str(), nullptr, 10);
     } else {
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: contjoin_noded --index I --daemons D --nodes N "
                  "--port-base P [--algorithm sai|daiq|dait|daiv] "
-                 "[--reliability on|off] [--seed S]\n");
+                 "[--reliability on|off] [--jfrt on|off] [--seed S]\n");
     return 2;
   }
 
@@ -151,6 +154,7 @@ int main(int argc, char** argv) {
   options.num_nodes = args.nodes;
   options.algorithm = args.algorithm;
   options.reliability.enabled = args.reliability;
+  options.use_jfrt = args.jfrt;
   options.seed = args.seed;
   core::ContinuousQueryNetwork net(options);
   if (!ringdemo::RegisterRingSchemas(net.catalog())) return 1;

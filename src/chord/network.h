@@ -126,8 +126,8 @@ class Network {
 
   /// Ships one overlay hop to the node with identifier `to` through the
   /// installed transport (the only send path for overlay hops). When a
-  /// frame sizer is installed, the encoded size is accounted per message
-  /// class first.
+  /// frame sizer is installed, the frame's wire size is accounted per
+  /// message class first, on every hop (forwards and retries included).
   void TransmitHop(Node* from, const NodeId& to, HopFrame frame);
 
   /// The hop-shipping seam. Defaults to the in-simulator transport;
@@ -141,9 +141,9 @@ class Network {
 
   /// Installs the bytes-on-wire meter: a callback returning the encoded
   /// size of a frame (wired up by the engine, which owns the codec; the
-  /// chord layer cannot encode application payloads itself). Unset by
-  /// default — hop accounting then stays byte-free and free of encoding
-  /// cost.
+  /// chord layer cannot size application payloads itself). The engine's
+  /// sizer measures without encoding (core::EncodedFrameSize). Unset by
+  /// default — hop accounting then stays byte-free.
   void set_frame_sizer(std::function<size_t(const HopFrame&)> sizer) {
     frame_sizer_ = std::move(sizer);
   }

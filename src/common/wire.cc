@@ -5,20 +5,21 @@
 namespace contjoin::wire {
 
 void Writer::U16(uint16_t v) {
-  out_.push_back(static_cast<uint8_t>(v & 0xff));
-  out_.push_back(static_cast<uint8_t>(v >> 8));
+  const uint8_t b[2] = {static_cast<uint8_t>(v & 0xff),
+                        static_cast<uint8_t>(v >> 8)};
+  Append(b, sizeof(b));
 }
 
 void Writer::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  Append(b, sizeof(b));
 }
 
 void Writer::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  Append(b, sizeof(b));
 }
 
 void Writer::F64(double v) {
@@ -30,20 +31,23 @@ void Writer::F64(double v) {
 
 void Writer::Str(std::string_view v) {
   U32(static_cast<uint32_t>(v.size()));
-  out_.insert(out_.end(), v.begin(), v.end());
+  Append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
 }
 
 void Writer::Id(const Uint160& v) {
+  uint8_t b[20];
   for (int w = 0; w < 5; ++w) {
     uint32_t word = v.word(w);
-    out_.push_back(static_cast<uint8_t>(word >> 24));
-    out_.push_back(static_cast<uint8_t>(word >> 16));
-    out_.push_back(static_cast<uint8_t>(word >> 8));
-    out_.push_back(static_cast<uint8_t>(word));
+    b[4 * w] = static_cast<uint8_t>(word >> 24);
+    b[4 * w + 1] = static_cast<uint8_t>(word >> 16);
+    b[4 * w + 2] = static_cast<uint8_t>(word >> 8);
+    b[4 * w + 3] = static_cast<uint8_t>(word);
   }
+  Append(b, sizeof(b));
 }
 
 void Writer::PatchU32(size_t offset, uint32_t v) {
+  if (counting_) return;
   for (int i = 0; i < 4; ++i) {
     out_[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
   }

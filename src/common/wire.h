@@ -21,10 +21,28 @@
 
 namespace contjoin::wire {
 
-/// Appends fields to a byte buffer.
+/// Appends fields to a byte buffer. A counting writer (Counting()) runs
+/// the same calls but stores nothing: size() advances exactly as the
+/// storing writer's would, so an encoder doubles as its own size function
+/// without a second, hand-kept layout.
 class Writer {
  public:
-  void U8(uint8_t v) { out_.push_back(v); }
+  Writer() = default;
+  /// A writer that only measures: size() advances, bytes() stays empty.
+  static Writer Counting() {
+    Writer w;
+    w.counting_ = true;
+    return w;
+  }
+  bool counting() const { return counting_; }
+
+  void U8(uint8_t v) {
+    if (counting_) {
+      ++count_;
+    } else {
+      out_.push_back(v);
+    }
+  }
   void U16(uint16_t v);
   void U32(uint32_t v);
   void U64(uint64_t v);
@@ -37,18 +55,40 @@ class Writer {
   /// 20 raw bytes, most-significant first.
   void Id(const Uint160& v);
 
+  /// Counting mode only: accounts `n` bytes measured earlier (a memoised
+  /// field size) without writing them again.
+  void Skip(size_t n) { count_ += n; }
+
   const std::vector<uint8_t>& bytes() const { return out_; }
   std::vector<uint8_t> Take() { return std::move(out_); }
-  size_t size() const { return out_.size(); }
+  size_t size() const { return counting_ ? count_ : out_.size(); }
 
-  /// Overwrites 4 bytes at `offset` with `v` (length back-patching).
+  /// Overwrites 4 bytes at `offset` with `v` (length back-patching; a
+  /// no-op when counting, since the width is unchanged).
   void PatchU32(size_t offset, uint32_t v);
 
   /// Discards everything written after byte `size` (encode rollback).
-  void Truncate(size_t size) { out_.resize(size); }
+  void Truncate(size_t size) {
+    if (counting_) {
+      count_ = size;
+    } else {
+      out_.resize(size);
+    }
+  }
 
  private:
+  /// Appends `n` bytes in one step (or only counts them).
+  void Append(const uint8_t* p, size_t n) {
+    if (counting_) {
+      count_ += n;
+    } else {
+      out_.insert(out_.end(), p, p + n);
+    }
+  }
+
   std::vector<uint8_t> out_;
+  bool counting_ = false;
+  size_t count_ = 0;
 };
 
 /// Consumes fields from a byte buffer. Every accessor checks bounds; after

@@ -1,5 +1,7 @@
 #include "core/codec.h"
 
+#include <atomic>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -775,16 +777,29 @@ bool PayloadCodec::HasCodec(CqMsgType type) const {
   return i < kCqMsgTypeCount && entries_[i].encode != nullptr;
 }
 
+// contjoin-check: hot
 bool PayloadCodec::Encode(const CqPayload& payload, wire::Writer& w) const {
   size_t i = static_cast<size_t>(payload.type);
   if (i >= kCqMsgTypeCount || entries_[i].encode == nullptr) return false;
+  if (w.counting()) {
+    uint32_t memo = payload.encoded_size_.load(std::memory_order_relaxed);
+    if (memo != 0) {
+      w.Skip(memo);
+      return true;
+    }
+  }
   size_t mark = w.size();
   w.U8(static_cast<uint8_t>(payload.type));
   if (!entries_[i].encode(payload, w)) {
-    // Roll back the tag so a failed encode leaves the buffer untouched.
-    CJ_CHECK(w.size() == mark + 1);
+    // Roll back the tag and any fields written before the fault was found,
+    // so a failed encode leaves the buffer (or the count) untouched.
     w.Truncate(mark);
     return false;
+  }
+  size_t size = w.size() - mark;
+  if (w.counting() && size <= std::numeric_limits<uint32_t>::max()) {
+    payload.encoded_size_.store(static_cast<uint32_t>(size),
+                                std::memory_order_relaxed);
   }
   return true;
 }
@@ -799,6 +814,7 @@ std::shared_ptr<const CqPayload> PayloadCodec::Decode(
 
 // --- Message & frame codecs -----------------------------------------------------
 
+// contjoin-check: hot
 bool EncodeAppMessage(const chord::AppMessage& msg, wire::Writer& w) {
   size_t mark = w.size();
   w.Id(msg.target);
@@ -859,9 +875,12 @@ bool DecodeAppMessage(wire::Reader& r, const rel::Catalog& catalog,
   return false;
 }
 
+namespace {
+
+/// The one hop-frame layout, shared by the encoder and the sizer. False on
+/// a malformed message (the writer is then left partly written).
 // contjoin-check: hot
-std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
-  wire::Writer w;
+bool WriteHopFrame(const chord::HopFrame& frame, wire::Writer& w) {
   w.U8(kFrameVersion);
   w.U8(static_cast<uint8_t>(frame.kind));
   w.U8(static_cast<uint8_t>(frame.cls));
@@ -869,14 +888,23 @@ std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
   if (frame.kind == chord::HopFrame::Kind::kBroadcast) {
     const auto* p =
         dynamic_cast<const CqPayload*>(frame.broadcast_payload.get());
-    if (p == nullptr || !PayloadCodec::Default().Encode(*p, w)) return {};
+    if (p == nullptr || !PayloadCodec::Default().Encode(*p, w)) return false;
     w.Id(frame.broadcast_limit);
-  } else {
-    w.U32(static_cast<uint32_t>(frame.msgs.size()));
-    for (const chord::AppMessage& msg : frame.msgs) {
-      if (!EncodeAppMessage(msg, w)) return {};
-    }
+    return true;
   }
+  w.U32(static_cast<uint32_t>(frame.msgs.size()));
+  for (const chord::AppMessage& msg : frame.msgs) {
+    if (!EncodeAppMessage(msg, w)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// contjoin-check: hot
+std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame) {
+  wire::Writer w;
+  if (!WriteHopFrame(frame, w)) return {};
   return w.Take();
 }
 
@@ -912,8 +940,10 @@ bool DecodeHopFrame(const uint8_t* data, size_t size,
   return r.AtEnd();
 }
 
+// contjoin-check: hot
 size_t EncodedFrameSize(const chord::HopFrame& frame) {
-  return EncodeHopFrame(frame).size();
+  wire::Writer w = wire::Writer::Counting();
+  return WriteHopFrame(frame, w) ? w.size() : 0;
 }
 
 }  // namespace contjoin::core

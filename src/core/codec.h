@@ -83,7 +83,10 @@ std::vector<uint8_t> EncodeHopFrame(const chord::HopFrame& frame);
 bool DecodeHopFrame(const uint8_t* data, size_t size,
                     const rel::Catalog& catalog, chord::HopFrame* out);
 
-/// Encoded size of `frame` in bytes, or 0 if it is malformed — the
+/// Encoded size of `frame` in bytes, or 0 if it is malformed; always equal
+/// to EncodeHopFrame(frame).size(). It runs the same layout code through a
+/// counting wire::Writer, so nothing is built or allocated, and reuses each
+/// payload's memoised size after the payload is first sized. The
 /// bytes-on-wire meter installed by the engine (Options::count_wire_bytes)
 /// feeds sim::NetStats::AddBytes with this.
 size_t EncodedFrameSize(const chord::HopFrame& frame);

@@ -5,7 +5,9 @@
 #ifndef CONTJOIN_CORE_MESSAGES_H_
 #define CONTJOIN_CORE_MESSAGES_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -86,10 +88,22 @@ enum class CqMsgType : unsigned char {
 inline constexpr size_t kCqMsgTypeCount =
     static_cast<size_t>(CqMsgType::kMovedPointer) + 1;
 
+class PayloadCodec;
+
 /// Base payload carrying the dispatch tag.
 struct CqPayload : chord::Payload {
   explicit CqPayload(CqMsgType t) : type(t) {}
+  /// A copy starts unsized: it is usually edited before it is sent.
+  CqPayload(const CqPayload& other) : chord::Payload(other), type(other.type) {}
   CqMsgType type;
+
+ private:
+  friend class PayloadCodec;
+  /// Encoded size (type tag + body), filled by the first counting encode
+  /// (0 = not yet sized). Sent payloads are immutable, so the size holds on
+  /// every later hop, retry and broadcast branch. Relaxed: every thread that
+  /// sizes the payload computes the same value.
+  mutable std::atomic<uint32_t> encoded_size_{0};
 };
 
 struct QueryIndexPayload : CqPayload {

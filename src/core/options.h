@@ -105,10 +105,12 @@ struct Options {
 
   uint64_t seed = 42;
 
-  /// Meter bytes-on-wire: every transmitted hop frame is run through the
-  /// wire codec and its encoded size accounted per message class in
-  /// sim::NetStats. Off by default — encoding costs real time and event
-  /// ordering is unaffected either way (the counter is the only output).
+  /// Meter bytes-on-wire: the encoded size of every transmitted hop frame
+  /// is accounted per message class in sim::NetStats. The size is measured
+  /// by the codec's counting writer, not by encoding, and each payload
+  /// memoises its own size, so a forwarded hop or a retry costs a few
+  /// additions. Off by default; event ordering is unaffected either way
+  /// (the counter is the only output).
   bool count_wire_bytes = false;
 
   chord::NetworkOptions chord;

@@ -5,7 +5,8 @@
 // fingers routing table, reliable delivery, churn (which leaves stale table
 // entries behind), a §4.7 identifier move and a one-time join all active,
 // the notification content must match the oracle, every frame must decode,
-// and the network's hop count must equal the frames the transport shipped.
+// the network's hop count must equal the frames the transport shipped, and
+// the byte meter must equal the bytes the transport encoded.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,8 @@ class CodecLoopbackTransport : public chord::Transport {
       stale_joins_.fetch_add(1, std::memory_order_relaxed);
     }
     std::vector<uint8_t> bytes = EncodeHopFrame(frame);
+    bytes_by_class_[static_cast<size_t>(frame.cls)].fetch_add(
+        bytes.size(), std::memory_order_relaxed);
     chord::HopFrame decoded;
     if (bytes.empty() ||
         !DecodeHopFrame(bytes.data(), bytes.size(), *catalog_, &decoded)) {
@@ -59,6 +62,9 @@ class CodecLoopbackTransport : public chord::Transport {
   uint64_t frames() const { return frames_.load(); }
   uint64_t frames(sim::MsgClass cls) const {
     return frames_by_class_[static_cast<size_t>(cls)].load();
+  }
+  uint64_t bytes(sim::MsgClass cls) const {
+    return bytes_by_class_[static_cast<size_t>(cls)].load();
   }
   uint64_t undecodable() const { return undecodable_.load(); }
   uint64_t stale_joins() const { return stale_joins_.load(); }
@@ -85,6 +91,9 @@ class CodecLoopbackTransport : public chord::Transport {
   std::array<std::atomic<uint64_t>,
              static_cast<size_t>(sim::MsgClass::kClassCount)>
       frames_by_class_{};
+  std::array<std::atomic<uint64_t>,
+             static_cast<size_t>(sim::MsgClass::kClassCount)>
+      bytes_by_class_{};
   std::atomic<uint64_t> undecodable_{0};
   std::atomic<uint64_t> stale_joins_{0};
 };
@@ -111,6 +120,7 @@ TEST_P(CodecLoopbackTest, EveryHopCrossesTheCodecAndStaysExact) {
   opts.seed = 4;
   opts.use_jfrt = true;
   opts.reliability.enabled = true;
+  opts.count_wire_bytes = true;
   ContinuousQueryNetwork net(opts);
   CodecLoopbackTransport loopback(net.network(), net.catalog());
   net.network()->set_transport(&loopback);
@@ -220,6 +230,14 @@ TEST_P(CodecLoopbackTest, EveryHopCrossesTheCodecAndStaysExact) {
     EXPECT_EQ(net.stats().hops(cls), loopback.frames(cls))
         << sim::MsgClassName(cls);
   }
+  // Every hop leaves through the transport, so the meter, which sizes
+  // frames without encoding them, matches the encoder in every class.
+  for (int c = 0; c < static_cast<int>(sim::MsgClass::kClassCount); ++c) {
+    const auto cls = static_cast<sim::MsgClass>(c);
+    EXPECT_EQ(net.stats().bytes(cls), loopback.bytes(cls))
+        << sim::MsgClassName(cls);
+  }
+  EXPECT_GT(net.stats().total_bytes(), 0u);
   EXPECT_EQ(loopback.undecodable(), 0u);
   EXPECT_GT(loopback.stale_joins(), 0u) << "no stale JFRT entry was hit";
   const NodeMetrics totals = net.TotalMetrics();

@@ -251,6 +251,54 @@ class CodecRoundTripTest : public ::testing::Test {
     EXPECT_EQ(first.bytes(), second.bytes())
         << "type " << static_cast<int>(payload.type)
         << " re-encoded differently";
+    ExpectExactFrameSizes(payload);
+  }
+
+  /// A non-owning handle, so stack payloads can ride in frames.
+  static chord::PayloadPtr Borrow(const CqPayload& payload) {
+    return chord::PayloadPtr(std::shared_ptr<const void>(), &payload);
+  }
+
+  /// The sizer agrees with the encoder, twice over (the second call runs
+  /// on the payload's memoised size), for `frame`.
+  static void ExpectSizeMatchesEncode(const chord::HopFrame& frame,
+                                      const char* what, CqMsgType type) {
+    size_t encoded = EncodeHopFrame(frame).size();
+    EXPECT_NE(encoded, 0u) << what << " of type " << static_cast<int>(type);
+    EXPECT_EQ(EncodedFrameSize(frame), encoded)
+        << what << " of type " << static_cast<int>(type);
+    EXPECT_EQ(EncodedFrameSize(frame), encoded)
+        << what << " of type " << static_cast<int>(type) << " (memoised)";
+  }
+
+  /// `payload` as a kDeliver message, as a DhtStore item and as a
+  /// broadcast body: the sizer matches the encoder in every envelope.
+  static void ExpectExactFrameSizes(const CqPayload& payload) {
+    chord::HopFrame deliver;
+    deliver.kind = chord::HopFrame::Kind::kDeliver;
+    deliver.cls = sim::MsgClass::kControl;
+    chord::AppMessage msg;
+    msg.target = Uint160::FromUint64(9);
+    msg.reliable_id = 11;
+    msg.payload = Borrow(payload);
+    deliver.msgs.push_back(msg);
+    ExpectSizeMatchesEncode(deliver, "kDeliver frame", payload.type);
+
+    chord::HopFrame store = deliver;
+    auto item = std::make_shared<chord::DhtStorePayload>();
+    item->key = Uint160::FromUint64(5);
+    item->item = Borrow(payload);
+    store.msgs[0].kind = chord::MsgKind::kDhtStore;
+    store.msgs[0].payload = item;
+    ExpectSizeMatchesEncode(store, "kDhtStore message", payload.type);
+
+    chord::HopFrame broadcast;
+    broadcast.kind = chord::HopFrame::Kind::kBroadcast;
+    broadcast.cls = sim::MsgClass::kOneTime;
+    broadcast.ttl = 160;
+    broadcast.broadcast_payload = Borrow(payload);
+    broadcast.broadcast_limit = Uint160::Max();
+    ExpectSizeMatchesEncode(broadcast, "kBroadcast frame", payload.type);
   }
 
   rel::Catalog catalog_;
@@ -689,6 +737,171 @@ TEST_F(CodecRoundTripTest, HopFramesOfEveryKindRoundTrip) {
   broadcast.broadcast_payload = scan;
   broadcast.broadcast_limit = RandomId(rng);
   round_trip(broadcast);
+}
+
+TEST(WireWriterTest, CountingWriterMeasuresWhatTheStoringWriterWrites) {
+  wire::Writer store;
+  wire::Writer count = wire::Writer::Counting();
+  EXPECT_FALSE(store.counting());
+  EXPECT_TRUE(count.counting());
+  auto both = [&](auto&& write) {
+    write(store);
+    write(count);
+    EXPECT_EQ(count.size(), store.size());
+  };
+  both([](wire::Writer& w) { w.U8(1); });
+  both([](wire::Writer& w) { w.U16(0x1234); });
+  both([](wire::Writer& w) { w.U32(0xdeadbeef); });
+  both([](wire::Writer& w) { w.U64(~uint64_t{0}); });
+  both([](wire::Writer& w) { w.I64(-5); });
+  both([](wire::Writer& w) { w.Bool(true); });
+  both([](wire::Writer& w) { w.F64(-0.25); });
+  both([](wire::Writer& w) { w.Str(""); });
+  both([](wire::Writer& w) { w.Str("seven b"); });
+  both([](wire::Writer& w) { w.Id(Uint160::Max()); });
+  const size_t mark = store.size();
+  both([](wire::Writer& w) { w.Str("rolled back"); });
+  both([&](wire::Writer& w) { w.Truncate(mark); });
+  both([](wire::Writer& w) { w.PatchU32(1, 7); });
+  EXPECT_EQ(store.size(), 1u + 2 + 4 + 8 + 8 + 1 + 8 + 4 + 11 + 20);
+  EXPECT_TRUE(count.bytes().empty());
+
+  // Scalars are little-endian and identifiers big-endian, written whole.
+  wire::Writer w;
+  w.U16(0x0102);
+  w.U32(0x03040506);
+  w.U64(0x0708090a0b0c0d0eull);
+  EXPECT_EQ(w.bytes(),
+            (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0e,
+                                  0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07}));
+  wire::Writer id;
+  id.Id(Uint160::FromUint64(0x0102));
+  std::vector<uint8_t> expect(20, 0);
+  expect[18] = 0x01;
+  expect[19] = 0x02;
+  EXPECT_EQ(id.bytes(), expect);
+}
+
+// The sizer memoises each payload's size on first use; these cases pin
+// that the memo never outlives what it measured.
+TEST_F(CodecRoundTripTest, SizingAFrameTwiceGivesTheSameNumber) {
+  Rng rng(55);
+  chord::HopFrame frame;
+  frame.kind = chord::HopFrame::Kind::kRoute;
+  frame.cls = sim::MsgClass::kRewrittenQuery;
+  frame.ttl = 160;
+  chord::AppMessage m;
+  m.target = RandomId(rng);
+  auto p = std::make_shared<DaivJoinPayload>();
+  p->value_key = RandomString(rng);
+  DaivEntry e;
+  e.query = RandomQuery(rng);
+  e.row = RandomRow(rng);
+  p->entries.push_back(e);
+  m.payload = p;
+  frame.msgs.push_back(m);
+
+  size_t first = EncodedFrameSize(frame);
+  EXPECT_EQ(EncodedFrameSize(frame), first);
+  EXPECT_EQ(first, EncodeHopFrame(frame).size());
+  // A forwarded hop (one ttl less) is the same size.
+  --frame.ttl;
+  EXPECT_EQ(EncodedFrameSize(frame), first);
+}
+
+TEST_F(CodecRoundTripTest, BatchSizeFollowsCompaction) {
+  Rng rng(56);
+  chord::HopFrame batch;
+  batch.kind = chord::HopFrame::Kind::kBatch;
+  batch.cls = sim::MsgClass::kNotification;
+  batch.ttl = 160;
+  for (int i = 0; i < 4; ++i) {
+    chord::AppMessage m;
+    m.target = RandomId(rng);
+    m.cls = sim::MsgClass::kNotification;
+    auto n = std::make_shared<NotificationPayload>();
+    n->notification.query_key = RandomString(rng);
+    n->notification.row.push_back(RandomValue(rng));
+    n->subscriber_key = std::string(static_cast<size_t>(1 + 7 * i), 'k');
+    m.payload = n;
+    batch.msgs.push_back(m);
+  }
+  ASSERT_EQ(EncodedFrameSize(batch), EncodeHopFrame(batch).size());
+
+  // Deliver message 1 and compact the rest forward, as Node::HandleBatch
+  // does before forwarding.
+  std::vector<chord::AppMessage>& msgs = batch.msgs;
+  size_t kept = 0;
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    if (i == 1) continue;
+    if (kept != i) msgs[kept] = std::move(msgs[i]);
+    ++kept;
+  }
+  msgs.resize(kept);
+  --batch.ttl;
+  EXPECT_EQ(EncodedFrameSize(batch), EncodeHopFrame(batch).size());
+}
+
+TEST_F(CodecRoundTripTest, CopiedPayloadIsSizedAfresh) {
+  Rng rng(57);
+  auto original = std::make_shared<TupleIndexPayload>(/*value_level=*/true);
+  original->tuple = RandomTuple(rng);
+  original->level1 = "R+a";
+  original->value_key = "7";
+  chord::HopFrame frame;
+  frame.kind = chord::HopFrame::Kind::kDeliver;
+  frame.cls = sim::MsgClass::kTupleIndex;
+  chord::AppMessage m;
+  m.payload = original;
+  frame.msgs.push_back(m);
+  const size_t original_size = EncodedFrameSize(frame);
+  ASSERT_EQ(original_size, EncodeHopFrame(frame).size());
+
+  auto copy = std::make_shared<TupleIndexPayload>(*original);
+  copy->value_key = "a much longer canonical value";
+  frame.msgs[0].payload = copy;
+  const size_t copy_size = EncodedFrameSize(frame);
+  EXPECT_EQ(copy_size, EncodeHopFrame(frame).size());
+  EXPECT_EQ(copy_size, original_size + copy->value_key.size() - 1);
+
+  // The original keeps its own size.
+  frame.msgs[0].payload = original;
+  EXPECT_EQ(EncodedFrameSize(frame), original_size);
+}
+
+TEST_F(CodecRoundTripTest, MalformedPayloadsAlwaysSizeToZero) {
+  Rng rng(58);
+  auto no_query = std::make_shared<QueryIndexPayload>();
+  no_query->level1 = "R+b";
+  // The second entry lacks its query: the encoder fails after writing the
+  // first one, and the rollback must still leave nothing behind.
+  auto half_join = std::make_shared<JoinPayload>();
+  half_join->level1 = "S+a";
+  RewrittenEntry good;
+  good.query = RandomQuery(rng);
+  half_join->entries.push_back(good);
+  half_join->entries.push_back(RewrittenEntry{});
+
+  for (const chord::PayloadPtr& bad :
+       {chord::PayloadPtr(no_query), chord::PayloadPtr(half_join)}) {
+    chord::HopFrame frame;
+    frame.kind = chord::HopFrame::Kind::kDeliver;
+    chord::AppMessage m;
+    m.payload = bad;
+    frame.msgs.push_back(m);
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      EXPECT_EQ(EncodedFrameSize(frame), 0u) << "attempt " << attempt;
+      EXPECT_TRUE(EncodeHopFrame(frame).empty());
+    }
+    const auto& cq = static_cast<const CqPayload&>(*bad);
+    wire::Writer w;
+    w.U8(0xab);
+    EXPECT_FALSE(PayloadCodec::Default().Encode(cq, w));
+    EXPECT_EQ(w.bytes(), std::vector<uint8_t>{0xab});
+    wire::Writer counting = wire::Writer::Counting();
+    EXPECT_FALSE(PayloadCodec::Default().Encode(cq, counting));
+    EXPECT_EQ(counting.size(), 0u);
+  }
 }
 
 TEST_F(CodecRoundTripTest, MalformedHopFramesAreRejected) {

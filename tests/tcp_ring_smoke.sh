@@ -4,7 +4,9 @@
 # each of the four algorithms (SAI, DAI-Q, DAI-T, DAI-V), and diffs the
 # delivered notification content keys against an identical in-process run
 # (the oracle). Reliability is on, so the ack/retry/dedup path crosses
-# process boundaries too.
+# process boundaries too. DAI-T and DAI-V run a second time with JFRT on,
+# so direct joins and their acks cross the sockets as well; JFRT changes
+# routing, not notification content, so they share the JFRT-off oracle.
 #
 # Usage: tcp_ring_smoke.sh <contjoin_noded> <contjoin_client>
 set -u
@@ -32,20 +34,22 @@ insert 6 R 13 9 103
 drain
 EOF
 
+# run_ring <algo> <jfrt on|off> <port_base>: output in tcp_<algo>_jfrt-<jfrt>.
 run_ring() {
-  local algo=$1 port_base=$2 attempt
+  local algo=$1 jfrt=$2 port_base=$3 attempt
+  local out="$WORKDIR/tcp_${algo}_jfrt-$jfrt"
   for attempt in 1 2 3; do
     local pids=()
     for i in $(seq 0 $((DAEMONS - 1))); do
       "$NODED" --index "$i" --daemons "$DAEMONS" --nodes "$NODES" \
         --port-base "$port_base" --algorithm "$algo" --reliability on \
-        --seed "$SEED" &
+        --jfrt "$jfrt" --seed "$SEED" &
       pids+=($!)
     done
     sleep 0.3
     if "$CLIENT" --daemons "$DAEMONS" --nodes "$NODES" \
         --port-base "$port_base" < "$WORKDIR/script.txt" \
-        > "$WORKDIR/tcp_$algo.txt" 2> "$WORKDIR/tcp_$algo.err"; then
+        > "$out.txt" 2> "$out.err"; then
       wait "${pids[@]}" 2>/dev/null
       return 0
     fi
@@ -54,27 +58,35 @@ run_ring() {
     wait "${pids[@]}" 2>/dev/null
     port_base=$((port_base + 100))
   done
-  echo "FAIL($algo): client could not drive the ring" >&2
-  cat "$WORKDIR/tcp_$algo.err" >&2
+  echo "FAIL($algo, jfrt $jfrt): client could not drive the ring" >&2
+  cat "$out.err" >&2
   return 1
 }
 
 status=0
 port=$((20000 + RANDOM % 20000))
-for algo in sai daiq dait daiv; do
-  if ! run_ring "$algo" "$port"; then
+for leg in sai:off daiq:off dait:off daiv:off dait:on daiv:on; do
+  algo=${leg%%:*}
+  jfrt=${leg##*:}
+  label=$algo
+  [ "$jfrt" = on ] && label="$algo+jfrt"
+  port=$((port + 10))
+  if ! run_ring "$algo" "$jfrt" "$port"; then
     status=1
     continue
   fi
-  "$CLIENT" --oracle --daemons "$DAEMONS" --nodes "$NODES" \
-    --algorithm "$algo" --reliability on --seed "$SEED" \
-    < "$WORKDIR/script.txt" > "$WORKDIR/oracle_$algo.txt" 2>&1
-  if ! diff -u "$WORKDIR/oracle_$algo.txt" "$WORKDIR/tcp_$algo.txt"; then
-    echo "FAIL($algo): TCP ring and oracle notification sets differ" >&2
+  oracle="$WORKDIR/oracle_$algo.txt"
+  if [ ! -f "$oracle" ]; then
+    "$CLIENT" --oracle --daemons "$DAEMONS" --nodes "$NODES" \
+      --algorithm "$algo" --reliability on --seed "$SEED" \
+      < "$WORKDIR/script.txt" > "$oracle" 2>&1
+  fi
+  tcp="$WORKDIR/tcp_${algo}_jfrt-$jfrt.txt"
+  if ! diff -u "$oracle" "$tcp"; then
+    echo "FAIL($label): TCP ring and oracle notification sets differ" >&2
     status=1
   else
-    echo "OK($algo): $(grep -c '|' "$WORKDIR/tcp_$algo.txt") notifications match the oracle"
+    echo "OK($label): $(grep -c '|' "$tcp") notifications match the oracle"
   fi
-  port=$((port + 10))
 done
 exit $status

@@ -1,7 +1,9 @@
 // End-to-end determinism contract of the parallel simulator core: a full
 // engine scenario (query installation, wave-streamed tuples, reliable
 // delivery) must produce byte-for-byte identical notification streams,
-// traffic statistics and metrics at every worker count.
+// traffic statistics (bytes on the wire included) and metrics at every
+// worker count. The byte meter sizes shared payloads from several workers
+// at once, so under TSan this also covers the payload size memo.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "serving/driver.h"
+#include "sim/net_stats.h"
 #include "workload/driver.h"
 
 namespace contjoin {
@@ -21,6 +24,7 @@ struct ScenarioResult {
   std::string digest;  // Order-sensitive serialization.
   uint64_t parallel_batches = 0;
   uint64_t total_hops = 0;
+  uint64_t total_bytes = 0;
   size_t notifications = 0;
 };
 
@@ -29,12 +33,22 @@ workload::DriverConfig ScenarioConfig() {
   cfg.engine.num_nodes = 48;
   cfg.engine.seed = 42;
   cfg.engine.reliability.enabled = true;
+  cfg.engine.count_wire_bytes = true;
   cfg.workload.seed = 9;
   cfg.workload.num_relation_pairs = 4;
   cfg.workload.attrs_per_relation = 3;
   cfg.workload.domain = 150;  // Small domain so joins actually match.
   cfg.workload.zipf_theta = 0.8;
   return cfg;
+}
+
+/// Per-class bytes on the wire (NetStats::Report() leaves them out).
+std::string BytesDigest(const sim::NetStats& stats) {
+  std::string out = "|bytes";
+  for (int c = 0; c < static_cast<int>(sim::MsgClass::kClassCount); ++c) {
+    out += "|" + std::to_string(stats.bytes(static_cast<sim::MsgClass>(c)));
+  }
+  return out;
 }
 
 ScenarioResult RunScenario(int workers) {
@@ -70,6 +84,8 @@ ScenarioResult RunScenario(int workers) {
     }
   }
   r.digest += net.stats().Report();
+  r.digest += BytesDigest(net.stats());
+  r.total_bytes = net.stats().total_bytes();
   const core::NodeMetrics totals = net.TotalMetrics();
   r.digest += "|sent=" + std::to_string(totals.reliable_sent) +
               "|retries=" + std::to_string(totals.reliable_retries) +
@@ -87,16 +103,20 @@ TEST(ThreadedDeterminism, EightWorkersMatchSerialByteForByte) {
   EXPECT_EQ(serial.parallel_batches, 0u);
   EXPECT_GT(threaded.parallel_batches, 0u);
   EXPECT_GT(serial.notifications, 0u);
+  EXPECT_GT(serial.total_bytes, 0u);
 
   EXPECT_EQ(serial.digest, threaded.digest);
   EXPECT_EQ(serial.total_hops, threaded.total_hops);
+  EXPECT_EQ(serial.total_bytes, threaded.total_bytes);
   EXPECT_EQ(serial.notifications, threaded.notifications);
 }
 
 TEST(ThreadedDeterminism, IntermediateWorkerCountsAgree) {
+  ScenarioResult one = RunScenario(1);
   ScenarioResult two = RunScenario(2);
   ScenarioResult four = RunScenario(4);
   EXPECT_EQ(two.digest, four.digest);
+  EXPECT_EQ(one.digest, two.digest);
 }
 
 // The open-loop serving path stacks every new mechanism at once — seeded
@@ -108,6 +128,7 @@ std::string RunOpenLoopScenario(int workers, uint64_t* parallel_batches) {
   config.engine.num_nodes = 32;
   config.engine.seed = 42;
   config.engine.reliability.enabled = true;
+  config.engine.count_wire_bytes = true;
   config.engine.faults.profile(sim::MsgClass::kNotification).drop_prob = 0.05;
   config.engine.serving.fanout_batching = true;
   config.engine.serving.backpressure = true;
@@ -142,6 +163,7 @@ std::string RunOpenLoopScenario(int workers, uint64_t* parallel_batches) {
   }
   digest += report.latency.Summary() + "\n";
   digest += report.traffic.Report();
+  digest += BytesDigest(report.traffic);
   digest += "|arrivals=" + std::to_string(report.arrivals_scheduled) +
             "|events=" + std::to_string(report.events_run) +
             "|sent=" + std::to_string(report.reliable_sent) +
