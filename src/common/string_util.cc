@@ -70,19 +70,22 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 std::string CanonicalDouble(double v) {
+  char buf[kCanonicalDoubleChars];
+  return std::string(CanonicalDoubleChars(v, buf));
+}
+
+std::string_view CanonicalDoubleChars(double v, char* buf) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   // Integral values print like integers so cross-type equi-joins hash
   // identically at the value level.
   if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+    int n = std::snprintf(buf, kCanonicalDoubleChars, "%.0f", v);
+    return std::string_view(buf, static_cast<size_t>(n));
   }
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  auto [ptr, ec] = std::to_chars(buf, buf + kCanonicalDoubleChars, v);
   if (ec != std::errc()) return "0";
-  return std::string(buf, ptr);
+  return std::string_view(buf, static_cast<size_t>(ptr - buf));
 }
 
 }  // namespace contjoin

@@ -3,6 +3,7 @@
 #ifndef CONTJOIN_COMMON_STRING_UTIL_H_
 #define CONTJOIN_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,13 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// double that equals an integer hashes to the same value-level identifier
 /// as that integer (paper: numeric values are treated as strings).
 std::string CanonicalDouble(double v);
+
+/// Buffer size CanonicalDoubleChars needs.
+inline constexpr size_t kCanonicalDoubleChars = 32;
+
+/// CanonicalDouble without allocating: the characters are written into
+/// `buf` (kCanonicalDoubleChars bytes) or taken from a literal.
+std::string_view CanonicalDoubleChars(double v, char* buf);
 
 }  // namespace contjoin
 

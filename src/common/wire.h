@@ -52,6 +52,11 @@ class Writer {
   void F64(double v);
   /// u32 length prefix + raw bytes.
   void Str(std::string_view v);
+  /// Raw bytes, no length prefix (a string written in pieces: write a
+  /// placeholder length, the pieces, then PatchU32 the length).
+  void Raw(std::string_view v) {
+    Append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
+  }
   /// 20 raw bytes, most-significant first.
   void Id(const Uint160& v);
 

@@ -127,11 +127,11 @@ std::vector<RewrittenEntry> BucketToEntries(
     const ValueLevelQueryTable::Bucket& bucket) {
   std::vector<RewrittenEntry> entries;
   entries.reserve(bucket.size());
-  for (const auto& [rewritten_key, sr] : bucket) {
+  for (const auto& [id, sr] : bucket) {
     RewrittenEntry entry;
     entry.query = sr.query;
     entry.remaining_side = sr.remaining_side;
-    entry.rewritten_key = rewritten_key;
+    entry.rewritten_id = id;
     entry.required_value = sr.required_value;
     entry.row = sr.row;
     entry.trigger_pub = sr.latest_trigger_pub;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -225,6 +226,35 @@ std::shared_ptr<const CqPayload> DecodeTupleIndex(CqMsgType type,
   return r.ok() ? p : nullptr;
 }
 
+/// Key(q') as a length-prefixed string, spelled from the entry's own
+/// fields straight into the writer; the length is patched in afterwards,
+/// so a counting writer sizes it exactly.
+// contjoin-check: hot
+void WriteRewrittenKeyStr(wire::Writer& w, const RewrittenEntry& e) {
+  const size_t length_at = w.size();
+  w.U32(0);
+  auto write = [&w](std::string_view piece) { w.Raw(piece); };
+  WriteRewrittenKey(write, e.query->key(), e.remaining_side, e.row,
+                    e.required_value);
+  w.PatchU32(length_at, static_cast<uint32_t>(w.size() - length_at - 4));
+}
+
+/// True when `shipped` is exactly the Key(q') of `e`'s fields. The key is
+/// derived data, so a frame whose key disagrees with its entry is forged
+/// or corrupt.
+bool RewrittenKeyMatches(std::string_view shipped, const RewrittenEntry& e) {
+  size_t pos = 0;
+  bool same = true;
+  auto compare = [&](std::string_view piece) {
+    same = same && pos <= shipped.size() &&
+           shipped.substr(pos, piece.size()) == piece;
+    pos += piece.size();
+  };
+  WriteRewrittenKey(compare, e.query->key(), e.remaining_side, e.row,
+                    e.required_value);
+  return same && pos == shipped.size();
+}
+
 bool EncodeJoin(const CqPayload& payload, wire::Writer& w) {
   const auto& p = static_cast<const JoinPayload&>(payload);
   w.Str(p.level1);
@@ -234,7 +264,7 @@ bool EncodeJoin(const CqPayload& payload, wire::Writer& w) {
     if (e.query == nullptr) return false;
     WriteQuery(w, *e.query);
     w.U8(static_cast<uint8_t>(e.remaining_side));
-    w.Str(e.rewritten_key);
+    WriteRewrittenKeyStr(w, e);
     WriteValue(w, e.required_value);
     WriteRow(w, e.row);
     w.U64(e.trigger_pub);
@@ -261,11 +291,15 @@ std::shared_ptr<const CqPayload> DecodeJoin(CqMsgType, wire::Reader& r,
     e.query = ReadQuery(r, catalog);
     if (e.query == nullptr) return nullptr;
     e.remaining_side = r.U8();
-    e.rewritten_key = r.Str();
+    if (e.remaining_side > 1) return nullptr;
+    const std::string shipped_key = r.Str();
     e.required_value = ReadValue(r);
     if (!ReadRow(r, &e.row)) return nullptr;
     e.trigger_pub = r.U64();
     e.trigger_seq = r.U64();
+    if (!RewrittenKeyMatches(shipped_key, e)) return nullptr;
+    e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+                                 e.required_value);
     p->entries.push_back(std::move(e));
   }
   p->rewriter = r.Id();
@@ -461,11 +495,11 @@ std::shared_ptr<const CqPayload> DecodeMigrateBucket(
   if (!PlausibleCount(r, n)) return nullptr;
   p->queries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    AlqtEntry e;
-    e.query = ReadQuery(r, catalog);
-    if (e.query == nullptr) return nullptr;
-    e.index_side = r.U8();
-    p->queries.push_back(std::move(e));
+    query::QueryPtr query = ReadQuery(r, catalog);
+    if (query == nullptr) return nullptr;
+    const int index_side = r.U8();
+    if (index_side > 1) return nullptr;
+    p->queries.emplace_back(std::move(query), index_side);
   }
   p->tuples_seen = r.U64();
   uint32_t ncounts = r.U32();

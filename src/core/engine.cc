@@ -446,7 +446,7 @@ void ContinuousQueryNetwork::RefreshIndexes() {
   // notifications collapse at the subscriber.
   for (chord::Node* node : nodes_) {
     if (!node->alive()) continue;
-    StateOf(*node).rewriter.sent_rewritten_keys.clear();
+    StateOf(*node).rewriter.sent_rewritten_ids.Clear();
   }
   for (const query::QueryPtr& query : submission_log_) {
     chord::Node* origin = NodeByKey(query->subscriber_key());

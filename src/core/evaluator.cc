@@ -181,7 +181,7 @@ void HandleTupleVl(ProtocolContext& ctx, chord::Node& node,
   if (strategy.MatchesRewrittenOnTupleArrival() || adaptive) {
     const auto* bucket = state.evaluator.vlqt.Find(p.level1, value_key);
     if (bucket != nullptr) {
-      for (const auto& [rewritten_key, sr] : *bucket) {
+      for (const auto& [id, sr] : *bucket) {
         ++state.metrics.filter_ops_value;
         const query::ContinuousQuery& q = *sr.query;
         if (adaptive && !strategy.MatchesRewrittenOnTupleArrival() &&

@@ -12,9 +12,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chord/types.h"
+#include "common/fingerprint.h"
 #include "core/notification.h"
 #include "query/mw_query.h"
 #include "query/query.h"
@@ -26,6 +28,54 @@ namespace contjoin::core {
 /// side are concrete; the remaining side's positions are empty until an
 /// evaluator joins them with a matching tuple.
 using RowTemplate = std::vector<std::optional<rel::Value>>;
+
+// --- Rewritten-query identity (paper §4.3.3) ---------------------------------
+
+/// Identity of a rewritten query q': the SipHash-2-4-128 fingerprint of
+/// its key Key(q') as WriteRewrittenKey spells it. The key string itself is
+/// only ever rendered at the codec; everywhere else (the DAI-T dedup set,
+/// VLQT buckets) the 16-byte id stands in for it. Distinct keys collide
+/// with probability at most n^2 / 2^129 among n ids.
+using RewriteId = Fingerprint128;
+
+/// The fixed SipHash key of rewritten-query ids ("contjoin", "rewrite!" as
+/// little-endian words). Every node must derive the same id for the same
+/// key, so it is a constant, not a secret.
+inline constexpr uint64_t kRewriteIdKey0 = 0x6e696f6a746e6f63ull;
+inline constexpr uint64_t kRewriteIdKey1 = 0x2165746972776572ull;
+
+/// Spells Key(q') = Key(q) + bound select values + valDA (§4.3.3), plus the
+/// trigger side s = 1 - remaining_side (without it, symmetric value
+/// coincidences across the two sides of the join condition would collide):
+///   Key(q) "|" s "|" ("\x1f" v)* "|" valDA
+/// where the v are the bound positions of `row` in select order and every
+/// value is in its canonical key form. The pieces go to `sink` one at a
+/// time, as std::string_views valid only during the call, so no key string
+/// is built. The fingerprinter (RewriteIdOf) and the kJoin codec (writing
+/// a frame, checking a decoded one) are the sinks; this is the only place
+/// the layout is written down.
+// contjoin-check: hot
+template <typename Sink>
+void WriteRewrittenKey(Sink&& sink, std::string_view query_key,
+                       int remaining_side, const RowTemplate& row,
+                       const rel::Value& required_value) {
+  rel::Value::KeyBuffer buf;
+  sink(query_key);
+  sink(std::string_view("|"));
+  sink(rel::Value::Int(1 - remaining_side).KeyChars(buf));
+  sink(std::string_view("|"));
+  for (const std::optional<rel::Value>& v : row) {
+    if (!v.has_value()) continue;
+    sink(std::string_view("\x1f"));
+    sink(v->KeyChars(buf));
+  }
+  sink(std::string_view("|"));
+  sink(required_value.KeyChars(buf));
+}
+
+/// The id of the rewritten query with these fields.
+RewriteId RewriteIdOf(std::string_view query_key, int remaining_side,
+                      const RowTemplate& row, const rel::Value& required_value);
 
 // --- Identifier derivation (paper §4.2/§4.3) ---------------------------------
 
@@ -45,6 +95,9 @@ chord::NodeId AttrIndexIdOfKey(const std::string& attr_key, int replica);
 /// Value-level key "R+A+v" and its identifier.
 std::string ValueKeyOf(const std::string& relation, const std::string& attr,
                        const std::string& value_key);
+/// ValueKeyOf from an already-built attribute key.
+std::string ValueKeyOfAttrKey(const std::string& attr_key,
+                              const std::string& value_key);
 /// ValueIndexId from an already-built attribute key.
 chord::NodeId ValueIndexIdOfKey(const std::string& attr_key,
                                 const std::string& value_key);
@@ -129,7 +182,10 @@ struct TupleIndexPayload : CqPayload {
 struct RewrittenEntry {
   query::QueryPtr query;
   int remaining_side = 0;        // DisR side, still to be matched.
-  std::string rewritten_key;     // Key(q') = Key(q)+v1+...+vl+valDA (§4.3.3).
+  /// RewriteIdOf(query key, remaining_side, row, required_value): set by
+  /// the rewriter, by the kJoin decoder and by VLQT replays. The key
+  /// Key(q') it fingerprints travels on the wire but is never stored.
+  RewriteId rewritten_id;
   rel::Value required_value;     // valDA.
   RowTemplate row;               // Trigger side's select values bound.
   rel::Timestamp trigger_pub = 0;
@@ -206,8 +262,14 @@ struct MigrateCmdPayload : CqPayload {
 
 /// A query stored at a rewriter, together with the side it is indexed by.
 struct AlqtEntry {
+  AlqtEntry(query::QueryPtr q, int side);
+
   query::QueryPtr query;
   int index_side = 0;
+  /// "DisR+DisA" of the other side when that side is T1 (empty otherwise):
+  /// the level-1 key rewritten queries are reindexed under, derived once
+  /// per stored query rather than on every rewrite.
+  std::string remaining_level1;
 };
 
 /// §4.7 bucket transfer: the attribute-level role of one "R+A#<replica>"

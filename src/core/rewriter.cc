@@ -89,7 +89,7 @@ void HandleQueryIndex(ProtocolContext& ctx, chord::Node& node,
   if (ForwardIfMoved(ctx, node, state.rewriter, mkey, msg)) return;
   ++state.metrics.queries_received;
   state.rewriter.alqt.Insert(mkey, p.query->signature(),
-                             AlqtEntry{p.query, p.index_side});
+                             AlqtEntry(p.query, p.index_side));
   adapt::OnQueryIndexed(ctx, node, p);
 }
 
@@ -132,41 +132,32 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     ++state.metrics.rewrites_skipped_nosol;
     return;
   }
-  std::string value_key = val_da->ToKeyString();
 
   // Bind the trigger side's select values (the generalized projection).
   RowTemplate row(q.select().size());
-  std::string bound;
   for (size_t i = 0; i < q.select().size(); ++i) {
     const query::SelectItem& item = q.select()[i];
-    if (item.ref.side == s) {
-      row[i] = tuple.at(item.ref.attr_index);
-      bound += '\x1f';
-      bound += row[i]->ToKeyString();
-    }
+    if (item.ref.side == s) row[i] = tuple.at(item.ref.attr_index);
   }
-  // Key(q') = Key(q) + bound select values + valDA (§4.3.3), plus the
-  // trigger side: without it, symmetric value coincidences across the two
-  // sides of the join condition could collide into one key.
-  std::string rewritten_key =
-      q.key() + "|" + std::to_string(s) + "|" + bound + "|" + value_key;
+  // q' is named by Key(q') = Key(q) + bound select values + valDA
+  // (§4.3.3); only its fingerprint is kept.
+  const RewriteId id = RewriteIdOf(q.key(), o, row, *val_da);
 
   if (ctx.strategy().DeduplicatesRewrites(ctx.options())) {
-    if (!state.rewriter.sent_rewritten_keys.insert(rewritten_key).second) {
+    if (!state.rewriter.sent_rewritten_ids.Insert(id)) {
       ++state.metrics.rewrites_skipped_dup;
       return;
     }
   }
 
-  const std::string& dis_attr =
-      remaining.schema->attribute(remaining.linear->ref.attr_index).name;
-  const std::string level1 = AttrKey(remaining.relation, dis_attr);
+  const std::string& level1 = entry.remaining_level1;
+  const std::string value_key = val_da->ToKeyString();
 
   RewrittenEntry rewritten;
   rewritten.query = entry.query;
   rewritten.remaining_side = o;
-  rewritten.rewritten_key = std::move(rewritten_key);
-  rewritten.required_value = *val_da;
+  rewritten.rewritten_id = id;
+  rewritten.required_value = *std::move(val_da);
   rewritten.row = std::move(row);
   rewritten.trigger_pub = tuple.pub_time();
   rewritten.trigger_seq = tuple.seq();
@@ -177,9 +168,10 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   uint64_t split_version = 0;
   const int split =
       adapt::SplitFor(ctx, state, level1, value_key, &split_version);
-  for (int shard = 0; shard < std::max(1, split); ++shard) {
+  const int shards = std::max(1, split);
+  for (int shard = 0; shard < shards; ++shard) {
     const std::string sub_key = adapt::SubValueKey(value_key, shard, split);
-    std::string vkey_full = ValueKeyOf(remaining.relation, dis_attr, sub_key);
+    std::string vkey_full = ValueKeyOfAttrKey(level1, sub_key);
     PendingJoin& pending = (*out)[vkey_full];
     if (pending.payload == nullptr) {
       pending.vindex = HashKey(vkey_full);
@@ -188,13 +180,18 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->value_key = sub_key;
       pending.payload->rewriter = node.id();
       pending.payload->vindex = pending.vindex;
-      pending.payload->known_split = std::max(1, split);
+      pending.payload->known_split = shards;
       pending.payload->split_version = split_version;
     }
-    pending.payload->entries.push_back(rewritten);
     if (ctx.options().track_evaluators) {
       state.rewriter.query_evaluators[q.key()].insert(pending.vindex);
     }
+    if (shard + 1 == shards) {
+      // The last shard takes the entry itself; earlier ones copy it.
+      pending.payload->entries.push_back(std::move(rewritten));
+      break;
+    }
+    pending.payload->entries.push_back(rewritten);
   }
   ++state.metrics.rewrites_sent;
 }

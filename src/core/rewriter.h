@@ -12,9 +12,9 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "chord/types.h"
+#include "common/fingerprint.h"
 #include "core/context.h"
 #include "core/jfrt.h"
 #include "core/tables.h"
@@ -54,7 +54,10 @@ struct State {
 
   /// Arrival statistics per attribute-level key "R+A#<replica>".
   std::unordered_map<std::string, AttrArrivalStats> attr_stats;
-  std::unordered_set<std::string> sent_rewritten_keys;  // DAI-T dedup (§4.4.3).
+  /// DAI-T dedup (§4.4.3): ids of the rewritten queries this rewriter has
+  /// already reindexed, so each Key(q') is sent once. Cleared by
+  /// RefreshIndexes, which must re-create what a crash destroyed.
+  FingerprintSet sent_rewritten_ids;
 
   /// §4.7 "moving an identifier": at the base node of a moved key, where
   /// the role now lives; at the holder, the generation it holds.

@@ -79,9 +79,9 @@ bool ValueLevelQueryTable::InsertOrRefresh(const std::string& level1,
                                            const std::string& value_key,
                                            const RewrittenEntry& entry) {
   Bucket& bucket = map_[level1][value_key];
-  auto it = bucket.find(entry.rewritten_key);
-  if (it != bucket.end()) {
-    // Same rewritten key: only the trigger time advances (§4.3.3).
+  auto it = bucket.lower_bound(entry.rewritten_id);
+  if (it != bucket.end() && it->first == entry.rewritten_id) {
+    // Same rewritten query: only the trigger time advances (§4.3.3).
     if (entry.trigger_pub > it->second.latest_trigger_pub ||
         (entry.trigger_pub == it->second.latest_trigger_pub &&
          entry.trigger_seq > it->second.latest_trigger_seq)) {
@@ -97,7 +97,7 @@ bool ValueLevelQueryTable::InsertOrRefresh(const std::string& level1,
   stored.row = entry.row;
   stored.latest_trigger_pub = entry.trigger_pub;
   stored.latest_trigger_seq = entry.trigger_seq;
-  bucket.emplace(entry.rewritten_key, std::move(stored));
+  bucket.emplace_hint(it, entry.rewritten_id, std::move(stored));
   ++size_;
   return true;
 }
@@ -141,10 +141,10 @@ void ValueLevelQueryTable::AbsorbBucket(const std::string& level1,
                                         const std::string& value_key,
                                         Bucket bucket) {
   Bucket& dst = map_[level1][value_key];
-  for (auto& [rewritten_key, stored] : bucket) {
-    auto it = dst.find(rewritten_key);
+  for (auto& [id, stored] : bucket) {
+    auto it = dst.find(id);
     if (it == dst.end()) {
-      dst.emplace(rewritten_key, std::move(stored));
+      dst.emplace(id, std::move(stored));
       ++size_;
     } else if (stored.latest_trigger_pub > it->second.latest_trigger_pub ||
                (stored.latest_trigger_pub == it->second.latest_trigger_pub &&

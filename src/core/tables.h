@@ -69,8 +69,9 @@ class AttrLevelQueryTable {
 // --- VLQT ----------------------------------------------------------------------
 
 /// A rewritten query stored at an evaluator. Identical rewritten queries
-/// (same rewritten key) collapse into one entry whose trigger time advances
-/// (§4.3.3: "if there is a query with the same key, only pubT(t) is stored").
+/// (same Key(q'), hence same RewriteId) collapse into one entry whose
+/// trigger time advances (§4.3.3: "if there is a query with the same key,
+/// only pubT(t) is stored").
 struct StoredRewritten {
   query::QueryPtr query;
   int remaining_side = 0;
@@ -81,14 +82,16 @@ struct StoredRewritten {
 };
 
 /// Value-level query table: level 1 keyed by the load-distributing
-/// attribute ("DisR+DisA"), level 2 by the required value, then by
-/// rewritten key. Buckets are ordered maps: an arriving tuple iterates a
-/// whole bucket emitting notifications, so the order must be reproducible.
+/// attribute ("DisR+DisA"), level 2 by the required value, then by the
+/// rewritten query's id. Buckets are ordered maps: an arriving tuple
+/// iterates a whole bucket emitting notifications, so the order must be
+/// reproducible. It is ascending RewriteId order — a fixed pseudo-random
+/// permutation of the queries, the same on every node and every run.
 class ValueLevelQueryTable {
  public:
-  using Bucket = std::map<std::string, StoredRewritten>;
+  using Bucket = std::map<RewriteId, StoredRewritten>;
 
-  /// Inserts or refreshes; returns true when the rewritten key is new.
+  /// Inserts or refreshes; returns true when the rewritten query is new.
   bool InsertOrRefresh(const std::string& level1, const std::string& value_key,
                        const RewrittenEntry& entry);
 
@@ -105,7 +108,7 @@ class ValueLevelQueryTable {
   /// Extracts one bucket for handoff; empty if absent.
   Bucket TakeBucket(const std::string& level1, const std::string& value_key);
 
-  /// Merges a handed-off bucket; an existing rewritten key only has its
+  /// Merges a handed-off bucket; an existing rewritten query only has its
   /// trigger time advanced, mirroring InsertOrRefresh.
   void AbsorbBucket(const std::string& level1, const std::string& value_key,
                     Bucket bucket);

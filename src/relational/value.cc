@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <functional>
 
 #include "common/string_util.h"
@@ -45,13 +46,22 @@ std::optional<double> Value::AsNumeric() const {
 }
 
 std::string Value::ToKeyString() const {
+  KeyBuffer buf;
+  return std::string(KeyChars(buf));
+}
+
+std::string_view Value::KeyChars(KeyBuffer& buf) const {
+  static_assert(std::tuple_size_v<KeyBuffer> >= kCanonicalDoubleChars);
   switch (type()) {
     case ValueType::kNull:
       return "<null>";
-    case ValueType::kInt:
-      return std::to_string(as_int());
+    case ValueType::kInt: {
+      const char* end =
+          std::to_chars(buf.data(), buf.data() + buf.size(), as_int()).ptr;
+      return {buf.data(), static_cast<size_t>(end - buf.data())};
+    }
     case ValueType::kDouble:
-      return CanonicalDouble(as_double());
+      return CanonicalDoubleChars(as_double(), buf.data());
     case ValueType::kString:
       return as_string();
   }

@@ -6,9 +6,11 @@
 #ifndef CONTJOIN_RELATIONAL_VALUE_H_
 #define CONTJOIN_RELATIONAL_VALUE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace contjoin::rel {
@@ -44,6 +46,13 @@ class Value {
   /// (paper §4.2: "when the value of an attribute is numeric, this value is
   /// also treated as a string"). Integral doubles print like integers.
   std::string ToKeyString() const;
+
+  /// Scratch space for KeyChars: room for any int or double key form.
+  using KeyBuffer = std::array<char, 32>;
+
+  /// ToKeyString() without allocating: a view of this value's own string,
+  /// of a literal or of `buf`, valid while those are.
+  std::string_view KeyChars(KeyBuffer& buf) const;
 
   /// Display form: strings quoted, others as ToKeyString().
   std::string ToString() const;

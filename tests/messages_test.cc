@@ -7,6 +7,7 @@
 
 #include "core/messages.h"
 
+#include <algorithm>
 #include <bitset>
 #include <cstdint>
 #include <limits>
@@ -25,6 +26,8 @@
 #include "query/mw_query.h"
 #include "query/parser.h"
 #include "relational/schema.h"
+
+#include "codec_generators.h"
 
 namespace contjoin::core {
 namespace {
@@ -109,130 +112,8 @@ TEST(MessagesTest, PayloadTagsMatchTheIntendedEnumerator) {
 // formats before are pinned explicitly: empty strings, null values, the
 // zero and maximum 160-bit identifiers, and extreme integers/doubles.
 
-class CodecRoundTripTest : public ::testing::Test {
+class CodecRoundTripTest : public ::testing::Test, protected CodecGenerators {
  protected:
-  CodecRoundTripTest() {
-    for (const char* name : {"R", "S", "T"}) {
-      CJ_CHECK(catalog_
-                   .Register(rel::RelationSchema(
-                       name, {{"a", rel::ValueType::kInt},
-                              {"b", rel::ValueType::kInt},
-                              {"c", rel::ValueType::kInt}}))
-                   .ok());
-    }
-    CJ_CHECK(catalog_
-                 .Register(rel::RelationSchema(
-                     "Doc", {{"id", rel::ValueType::kInt},
-                             {"title", rel::ValueType::kString}}))
-                 .ok());
-    CJ_CHECK(catalog_
-                 .Register(rel::RelationSchema(
-                     "Auth", {{"name", rel::ValueType::kString},
-                              {"id", rel::ValueType::kInt}}))
-                 .ok());
-  }
-
-  // -- Random field generators -------------------------------------------------
-
-  static std::string RandomString(Rng& rng) {
-    size_t len = rng.NextBelow(12);  // 0 is reachable: empty strings count.
-    std::string s;
-    s.reserve(len);
-    for (size_t i = 0; i < len; ++i) {
-      s.push_back(static_cast<char>('a' + rng.NextBelow(26)));
-    }
-    return s;
-  }
-
-  static rel::Value RandomValue(Rng& rng) {
-    switch (rng.NextBelow(6)) {
-      case 0:
-        return rel::Value::Null();
-      case 1:
-        return rel::Value::Int(static_cast<int64_t>(rng.Next()));
-      case 2:
-        return rel::Value::Int(std::numeric_limits<int64_t>::min());
-      case 3:
-        return rel::Value::Double(rng.NextDouble() * 2e9 - 1e9);
-      case 4:
-        return rel::Value::Str("");
-      default:
-        return rel::Value::Str(RandomString(rng));
-    }
-  }
-
-  static Uint160 RandomId(Rng& rng) {
-    switch (rng.NextBelow(4)) {
-      case 0:
-        return Uint160();  // Zero (the "no node" sentinel).
-      case 1:
-        return Uint160::Max();
-      default: {
-        Sha1Digest d;
-        for (uint8_t& b : d) b = static_cast<uint8_t>(rng.Next());
-        return Uint160::FromDigest(d);
-      }
-    }
-  }
-
-  static RowTemplate RandomRow(Rng& rng) {
-    RowTemplate row(1 + rng.NextBelow(4));
-    for (auto& slot : row) {
-      if (rng.NextBelow(3) == 0) continue;  // Leave unbound.
-      slot = RandomValue(rng);
-    }
-    return row;
-  }
-
-  static rel::TuplePtr RandomTuple(Rng& rng) {
-    if (rng.NextBelow(2) == 0) {
-      return std::make_shared<const rel::Tuple>(
-          "R",
-          std::vector<rel::Value>{
-              rel::Value::Int(static_cast<int64_t>(rng.Next())),
-              rel::Value::Int(rng.NextInRange(-5, 5)),
-              rel::Value::Int(std::numeric_limits<int64_t>::max())},
-          rng.Next(), rng.Next());
-    }
-    return std::make_shared<const rel::Tuple>(
-        "Doc",
-        std::vector<rel::Value>{
-            rel::Value::Int(static_cast<int64_t>(rng.Next())),
-            rel::Value::Str(RandomString(rng))},
-        rng.Next(), rng.Next());
-  }
-
-  query::QueryPtr MakeQuery(Rng& rng, const std::string& sql) {
-    StatusOr<query::ContinuousQuery> parsed = query::ParseQuery(sql, catalog_);
-    CJ_CHECK(parsed.ok());
-    query::ContinuousQuery q = std::move(parsed).value();
-    q.set_key(RandomString(rng));
-    q.set_subscriber_key(RandomString(rng));
-    q.set_subscriber_ip(rng.Next());
-    q.set_insertion_time(rng.Next());
-    return std::make_shared<const query::ContinuousQuery>(std::move(q));
-  }
-
-  query::QueryPtr RandomQuery(Rng& rng) {
-    return MakeQuery(rng, rng.NextBelow(2) == 0
-                              ? "SELECT R.a, S.b FROM R, S WHERE R.b = S.a"
-                              : "SELECT Doc.id, Auth.id FROM Doc, Auth "
-                                "WHERE Doc.title = Auth.name");
-  }
-
-  query::MwQueryPtr RandomMwQuery(Rng& rng) {
-    StatusOr<query::MwQuery> parsed = query::ParseMwQuery(
-        "SELECT R.a, S.b, T.c FROM R, S, T WHERE R.a = S.a AND S.b = T.b",
-        catalog_);
-    CJ_CHECK(parsed.ok());
-    query::MwQuery q = std::move(parsed).value();
-    q.set_key(RandomString(rng));
-    q.set_subscriber_key(RandomString(rng));
-    q.set_subscriber_ip(rng.Next());
-    q.set_insertion_time(rng.Next());
-    return std::make_shared<const query::MwQuery>(std::move(q));
-  }
-
   // -- The property ------------------------------------------------------------
 
   void ExpectRoundTrip(const CqPayload& payload) {
@@ -301,7 +182,71 @@ class CodecRoundTripTest : public ::testing::Test {
     ExpectSizeMatchesEncode(broadcast, "kBroadcast frame", payload.type);
   }
 
-  rel::Catalog catalog_;
+  /// `bytes` as lowercase hex.
+  static std::string Hex(const std::vector<uint8_t>& bytes) {
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t b : bytes) {
+      out.push_back(kDigits[b >> 4]);
+      out.push_back(kDigits[b & 0xf]);
+    }
+    return out;
+  }
+
+  /// A fixed kJoin frame: four entries covering int, double (integral and
+  /// not), string and null values, bound and unbound select positions and
+  /// both trigger sides.
+  chord::HopFrame FixedJoinFrame() {
+    Rng rng(2006);
+    const char* rs = "SELECT R.a, S.b FROM R, S WHERE R.b = S.a";
+    const char* da =
+        "SELECT Doc.id, Auth.id FROM Doc, Auth WHERE Doc.title = Auth.name";
+    struct Spec {
+      const char* sql;
+      int remaining_side;
+      rel::Value required;
+      RowTemplate row;
+    };
+    const Spec specs[] = {
+        {rs, 1, rel::Value::Int(7), {rel::Value::Int(-3), std::nullopt}},
+        {da, 0, rel::Value::Str("ann"), {std::nullopt, rel::Value::Str("x y")}},
+        {rs, 0, rel::Value::Double(2.0),
+         {std::nullopt, rel::Value::Double(0.25)}},
+        {rs, 1, rel::Value::Double(-1.5), {rel::Value::Null(), std::nullopt}},
+    };
+    auto p = std::make_shared<JoinPayload>();
+    p->level1 = "S+a";
+    p->value_key = "7";
+    for (const Spec& spec : specs) {
+      RewrittenEntry e;
+      e.query = MakeQuery(rng, spec.sql);
+      e.remaining_side = spec.remaining_side;
+      e.required_value = spec.required;
+      e.row = spec.row;
+      e.trigger_pub = rng.Next();
+      e.trigger_seq = rng.Next();
+      e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+                                   e.required_value);
+      p->entries.push_back(std::move(e));
+    }
+    p->rewriter = Uint160::FromUint64(5);
+    p->vindex = Uint160::FromUint64(6);
+    p->want_ack = true;
+    p->known_split = 2;
+    p->split_version = 9;
+    chord::HopFrame frame;
+    frame.kind = chord::HopFrame::Kind::kRoute;
+    frame.cls = sim::MsgClass::kRewrittenQuery;
+    frame.ttl = 12;
+    chord::AppMessage m;
+    m.target = Uint160::FromUint64(0xc0ffee);
+    m.cls = sim::MsgClass::kRewrittenQuery;
+    m.reliable_id = 3;
+    m.reliable_origin = Uint160::FromUint64(77);
+    m.payload = p;
+    frame.msgs.push_back(m);
+    return frame;
+  }
 };
 
 TEST_F(CodecRoundTripTest, EveryMsgTypeHasARegisteredCodec) {
@@ -347,7 +292,6 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         RewrittenEntry e;
         e.query = RandomQuery(rng);
         e.remaining_side = static_cast<int>(rng.NextBelow(2));
-        e.rewritten_key = RandomString(rng);
         e.required_value = RandomValue(rng);
         e.row = RandomRow(rng);
         e.trigger_pub = rng.Next();
@@ -556,7 +500,8 @@ TEST_F(CodecRoundTripTest, EmptyStringsAndSentinelIdsSurvive) {
   RewrittenEntry e;
   e.query = RandomQuery(rng);
   e.remaining_side = 1;
-  e.rewritten_key = "";
+  // Key(q') is rendered from the fields, so it cannot be empty: here it is
+  // "<query key>|0|\x1f|\x1f<null>|".
   e.required_value = rel::Value::Str("");
   e.row = {std::nullopt, rel::Value::Str(""), rel::Value::Null()};
   p.entries.push_back(std::move(e));
@@ -569,6 +514,35 @@ TEST_F(CodecRoundTripTest, EmptyStringsAndSentinelIdsSurvive) {
   n.subscriber_key = "";
   n.evaluator = Uint160();
   ExpectRoundTrip(n);
+}
+
+// A trigger or index side is 0 or 1; a frame naming another side would
+// index past a query's two sides, so the decoder refuses it.
+TEST_F(CodecRoundTripTest, OutOfRangeSidesAreRefused) {
+  Rng rng(98);
+  const PayloadCodec& codec = PayloadCodec::Default();
+  auto refused = [&](const CqPayload& p) {
+    wire::Writer w;
+    if (!codec.Encode(p, w)) return false;
+    wire::Reader r(w.bytes());
+    return codec.Decode(r, catalog_) == nullptr;
+  };
+
+  JoinPayload join;
+  RewrittenEntry e;
+  e.query = RandomQuery(rng);
+  e.remaining_side = 2;
+  e.row = {rel::Value::Int(1)};
+  join.entries.push_back(e);
+  EXPECT_TRUE(refused(join));
+  join.entries[0].remaining_side = 1;
+  EXPECT_FALSE(refused(join));
+
+  MigrateBucketPayload bucket;
+  bucket.queries.emplace_back(RandomQuery(rng), 2);
+  EXPECT_TRUE(refused(bucket));
+  bucket.queries[0] = AlqtEntry(bucket.queries[0].query, 0);
+  EXPECT_FALSE(refused(bucket));
 }
 
 // Notifications are routed to HashKey(subscriber_key). The query caches
@@ -934,6 +908,83 @@ TEST_F(CodecRoundTripTest, MalformedHopFramesAreRejected) {
   EXPECT_FALSE(
       DecodeHopFrame(wrong_version.data(), wrong_version.size(), catalog_,
                      &out));
+}
+
+// The bytes of FixedJoinFrame as encoded when Key(q') was still a stored
+// string. The codec now renders the key from the entry's fields; the wire
+// must not change by a byte.
+TEST_F(CodecRoundTripTest, JoinFrameBytesUnchanged) {
+  const chord::HopFrame frame = FixedJoinFrame();
+  const std::vector<uint8_t> bytes = EncodeHopFrame(frame);
+  EXPECT_EQ(Hex(bytes),
+      "0100040c000000010000000000000000000000000000000000000000c0ffee04"
+      "000300000000000000000000000000000000000000000000000000004d030300"
+      "0000532b610100000037040000002900000053454c45435420522e612c20532e"
+      "622046524f4d20522c205320574845524520522e62203d20532e610600000071"
+      "636461616d01000000632d70586f6469b999121ef61ab2abbff7010e00000071"
+      "636461616d7c307c1f2d337c37010700000000000000020000000101fdffffff"
+      "ffffffff0086a070b6bfd16ae646f27daf49ca6c754100000053454c45435420"
+      "446f632e69642c20417574682e69642046524f4d20446f632c20417574682057"
+      "4845524520446f632e7469746c65203d20417574682e6e616d65020000006577"
+      "07000000796a656b6e7762fe8a62969a6bc68dfb803c4d10665ffd000d000000"
+      "65777c317c1f7820797c616e6e0303000000616e6e0200000000010303000000"
+      "7820792b182b62661031b5603ddce7012ead3a2900000053454c45435420522e"
+      "612c20532e622046524f4d20522c205320574845524520522e62203d20532e61"
+      "04000000756d767905000000616365676fafba34e4fab443a970f63f66d30e31"
+      "c0000e000000756d76797c317c1f302e32357c32020000000000000040020000"
+      "00000102000000000000d03f0db4140a70f252e1fd7738e3a34d113c29000000"
+      "53454c45435420522e612c20532e622046524f4d20522c205320574845524520"
+      "522e62203d20532e6100000000050000007367737868df65c8a91b698d523345"
+      "9f92a23caa69010f0000007c307c1f3c6e756c6c3e7c2d312e35020000000000"
+      "00f8bf0200000001000071f2399f780e58104816a0bbc60c3007000000000000"
+      "0000000000000000000000000005000000000000000000000000000000000000"
+      "000601020000000900000000000000");
+  EXPECT_EQ(EncodedFrameSize(frame), bytes.size());
+
+  // Decoding re-derives every entry's id from its fields.
+  chord::HopFrame out;
+  ASSERT_TRUE(DecodeHopFrame(bytes.data(), bytes.size(), catalog_, &out));
+  ASSERT_EQ(out.msgs.size(), 1u);
+  const auto& sent = static_cast<const JoinPayload&>(*frame.msgs[0].payload);
+  const auto& got = static_cast<const JoinPayload&>(*out.msgs[0].payload);
+  ASSERT_EQ(got.entries.size(), sent.entries.size());
+  for (size_t i = 0; i < sent.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i].rewritten_id, sent.entries[i].rewritten_id)
+        << "entry " << i;
+  }
+  EXPECT_EQ(EncodeHopFrame(out), bytes);
+}
+
+// Key(q') travels on the wire but is derived from the entry's other
+// fields; a frame whose key disagrees with them is refused, not trusted.
+TEST_F(CodecRoundTripTest, ForgedRewrittenKeyIsRefused) {
+  const chord::HopFrame frame = FixedJoinFrame();
+  const std::vector<uint8_t> bytes = EncodeHopFrame(frame);
+  const auto& p = static_cast<const JoinPayload&>(*frame.msgs[0].payload);
+  for (const RewrittenEntry& e : p.entries) {
+    std::string key;
+    WriteRewrittenKey([&key](std::string_view piece) { key += piece; },
+                      e.query->key(), e.remaining_side, e.row,
+                      e.required_value);
+    // The key sits right after its u32 length prefix.
+    std::string prefixed(4, '\0');
+    for (int b = 0; b < 4; ++b) {
+      prefixed[b] = static_cast<char>((key.size() >> (8 * b)) & 0xff);
+    }
+    prefixed += key;
+    const auto at = std::search(bytes.begin(), bytes.end(), prefixed.begin(),
+                                prefixed.end());
+    ASSERT_NE(at, bytes.end()) << "key " << key << " not found in the frame";
+    const size_t offset = static_cast<size_t>(at - bytes.begin()) + 4;
+    for (size_t i = 0; i < key.size(); ++i) {
+      std::vector<uint8_t> forged = bytes;
+      forged[offset + i] ^= 0x01;
+      chord::HopFrame out;
+      EXPECT_FALSE(
+          DecodeHopFrame(forged.data(), forged.size(), catalog_, &out))
+          << "accepted key " << key << " with byte " << i << " flipped";
+    }
+  }
 }
 
 }  // namespace

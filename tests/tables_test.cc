@@ -31,14 +31,17 @@ class TablesTest : public ::testing::Test {
         std::move(parsed).value());
   }
 
-  RewrittenEntry MakeEntry(query::QueryPtr q, const std::string& rk,
+  /// A rewritten query of `q` whose bound select value is `bound`: entries
+  /// with equal `bound` share Key(q'), hence their id.
+  RewrittenEntry MakeEntry(query::QueryPtr q, int64_t bound,
                            rel::Timestamp pub, uint64_t seq) {
     RewrittenEntry e;
     e.query = std::move(q);
     e.remaining_side = 1;
-    e.rewritten_key = rk;
     e.required_value = rel::Value::Int(7);
-    e.row = {rel::Value::Int(1), std::nullopt};
+    e.row = {rel::Value::Int(bound), std::nullopt};
+    e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+                                 e.required_value);
     e.trigger_pub = pub;
     e.trigger_seq = seq;
     return e;
@@ -71,36 +74,67 @@ TEST_F(TablesTest, AlqtInsertFindRemove) {
 TEST_F(TablesTest, VlqtDedupByRewrittenKey) {
   ValueLevelQueryTable vlqt;
   auto q = MakeQuery("n1#0");
-  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, "rk1", 10, 1)));
-  EXPECT_FALSE(vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, "rk1", 20, 2)));
-  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, "rk2", 15, 3)));
+  const RewrittenEntry first = MakeEntry(q, 1, 10, 1);
+  const RewrittenEntry second = MakeEntry(q, 2, 15, 3);
+  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", first));
+  EXPECT_FALSE(vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 1, 20, 2)));
+  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", second));
   EXPECT_EQ(vlqt.size(), 2u);
 
   const auto* bucket = vlqt.Find("S+E", "7");
   ASSERT_NE(bucket, nullptr);
   // The duplicate only advanced the trigger time (§4.3.3).
-  EXPECT_EQ(bucket->at("rk1").latest_trigger_pub, 20u);
-  EXPECT_EQ(bucket->at("rk2").latest_trigger_pub, 15u);
+  EXPECT_EQ(bucket->at(first.rewritten_id).latest_trigger_pub, 20u);
+  EXPECT_EQ(bucket->at(second.rewritten_id).latest_trigger_pub, 15u);
 }
 
 TEST_F(TablesTest, VlqtRefreshNeverRewindsTime) {
   ValueLevelQueryTable vlqt;
   auto q = MakeQuery("n1#0");
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, "rk1", 20, 5));
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, "rk1", 10, 1));
-  EXPECT_EQ(vlqt.Find("S+E", "7")->at("rk1").latest_trigger_pub, 20u);
+  const RewrittenEntry later = MakeEntry(q, 1, 20, 5);
+  vlqt.InsertOrRefresh("S+E", "7", later);
+  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 1, 10, 1));
+  EXPECT_EQ(vlqt.Find("S+E", "7")->at(later.rewritten_id).latest_trigger_pub,
+            20u);
 }
 
 TEST_F(TablesTest, VlqtRemoveQuery) {
   ValueLevelQueryTable vlqt;
   auto q1 = MakeQuery("n1#0");
   auto q2 = MakeQuery("n2#0");
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q1, "a", 1, 1));
-  vlqt.InsertOrRefresh("S+E", "8", MakeEntry(q1, "b", 2, 2));
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q2, "c", 3, 3));
+  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q1, 1, 1, 1));
+  vlqt.InsertOrRefresh("S+E", "8", MakeEntry(q1, 2, 2, 2));
+  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q2, 3, 3, 3));
   EXPECT_EQ(vlqt.RemoveQuery("n1#0"), 2u);
   EXPECT_EQ(vlqt.size(), 1u);
   EXPECT_EQ(vlqt.Find("S+E", "8"), nullptr);
+}
+
+// A bucket iterates in ascending id order whatever the arrival order, and
+// a handed-off bucket merges by id like InsertOrRefresh.
+TEST_F(TablesTest, VlqtBucketIsOrderedByIdAndAbsorbsById) {
+  ValueLevelQueryTable vlqt;
+  auto q = MakeQuery("n1#0");
+  for (int64_t bound = 0; bound < 8; ++bound) {
+    vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, bound, 10, 1));
+  }
+  const auto* bucket = vlqt.Find("S+E", "7");
+  ASSERT_NE(bucket, nullptr);
+  EXPECT_EQ(bucket->size(), 8u);
+  RewriteId previous;
+  for (const auto& [id, stored] : *bucket) {
+    EXPECT_LT(previous, id);
+    previous = id;
+  }
+
+  ValueLevelQueryTable::Bucket moved = vlqt.TakeBucket("S+E", "7");
+  EXPECT_EQ(vlqt.size(), 0u);
+  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 3, 30, 2));
+  vlqt.AbsorbBucket("S+E", "7", std::move(moved));
+  EXPECT_EQ(vlqt.size(), 8u);
+  const RewrittenEntry three = MakeEntry(q, 3, 0, 0);
+  EXPECT_EQ(vlqt.Find("S+E", "7")->at(three.rewritten_id).latest_trigger_pub,
+            30u);
 }
 
 TEST_F(TablesTest, VlttInsertFindExpire) {
