@@ -1,9 +1,12 @@
 // M2 — google-benchmark end-to-end engine throughput: wall-clock cost of
 // one tuple insertion (full cascade: indexing, rewriting, evaluation,
-// delivery) per algorithm, and of query submission. Not a paper figure;
-// documents the simulator's real-time capacity.
+// delivery) per algorithm, of query submission and of unsubscription. Not
+// a paper figure; documents the simulator's real-time capacity.
 
 #include <benchmark/benchmark.h>
+
+#include <functional>
+#include <memory>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -13,10 +16,12 @@ using namespace contjoin;
 namespace {
 
 std::unique_ptr<core::ContinuousQueryNetwork> MakeLoadedNet(
-    core::Algorithm alg, size_t queries) {
+    core::Algorithm alg, size_t queries,
+    const std::function<void(core::Options*)>& tweak = nullptr) {
   core::Options opts;
   opts.num_nodes = 256;
   opts.algorithm = alg;
+  if (tweak) tweak(&opts);
   auto net = std::make_unique<core::ContinuousQueryNetwork>(opts);
   CJ_CHECK(net->catalog()
                ->Register(rel::RelationSchema(
@@ -69,6 +74,45 @@ void BM_SubmitQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubmitQuery);
+
+// One unsubscription with evaluator tracking on. Outside the timed
+// region each iteration submits the query and rewrites it to a few
+// evaluators with inserts; small value domains and a pruned window keep
+// the loaded net's state from growing across iterations.
+void BM_Unsubscribe(benchmark::State& state) {
+  auto alg = static_cast<core::Algorithm>(state.range(0));
+  auto net = MakeLoadedNet(alg, 100, [](core::Options* o) {
+    o->track_evaluators = true;
+    o->window = 64;
+  });
+  Rng rng(5);
+  int64_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const size_t subscriber = rng.NextBelow(net->num_nodes());
+    auto key = net->SubmitQuery(subscriber,
+                                "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
+    CJ_CHECK(key.ok());
+    for (int t = 0; t < 8; ++t) {
+      CJ_CHECK(net->InsertTuple(
+                      rng.NextBelow(net->num_nodes()), t % 2 == 0 ? "R" : "S",
+                      {rel::Value::Int(static_cast<int64_t>(rng.NextBelow(4))),
+                       rel::Value::Int(static_cast<int64_t>(
+                           rng.NextBelow(16)))})
+                   .ok());
+    }
+    if (++i % 16 == 0) {
+      net->PruneExpired();
+      for (size_t n = 0; n < net->num_nodes(); ++n) {
+        (void)net->TakeNotifications(n);
+      }
+    }
+    state.ResumeTiming();
+    CJ_CHECK(net->Unsubscribe(subscriber, key.value()).ok());
+  }
+  state.SetLabel(core::AlgorithmName(alg));
+}
+BENCHMARK(BM_Unsubscribe)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Iterations(2000);
 
 void BM_OneTimeJoin(benchmark::State& state) {
   auto net = MakeLoadedNet(core::Algorithm::kSai, 0);

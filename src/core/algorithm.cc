@@ -155,6 +155,12 @@ const AlgorithmStrategy& AlgorithmStrategy::For(Algorithm a) {
   return sai;
 }
 
+bool EvaluatorsHoldQueryState(const Options& options) {
+  const AlgorithmStrategy& strategy = AlgorithmStrategy::For(options.algorithm);
+  return options.adapt.enabled || strategy.StoresRewrittenQueries() ||
+         strategy.RewritesToDaiv();
+}
+
 int ChooseSaiIndexSide(ProtocolContext& ctx, chord::Node& origin,
                        const query::ContinuousQuery& q) {
   if (ctx.options().sai_strategy == SaiStrategy::kRandom) {

@@ -62,6 +62,13 @@ class AlgorithmStrategy {
   static const AlgorithmStrategy& For(Algorithm a);
 };
 
+/// True when evaluators keep per-query state that an unsubscription must
+/// clear: rewritten queries (SAI, DAI-T), projections (DAI-V), or, under
+/// the adaptive manager, symmetrically stored joins. DAI-Q evaluators
+/// store tuples only (§4.4.2), so cancelling a DAI-Q query is complete
+/// once its rewriters drop it.
+bool EvaluatorsHoldQueryState(const Options& options);
+
 /// SAI index-side selection (§4.3.6): applies options().sai_strategy,
 /// probing live attribute statistics at the rewriter nodes when informed.
 int ChooseSaiIndexSide(ProtocolContext& ctx, chord::Node& origin,

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -483,6 +484,12 @@ bool EncodeMigrateBucket(const CqPayload& payload, wire::Writer& w) {
     w.U64(count);
   }
   w.U64(p.overflow_values);
+  w.U32(static_cast<uint32_t>(p.tracked_evaluators.size()));
+  for (const auto& [query_key, evaluators] : p.tracked_evaluators) {
+    w.Str(query_key);
+    w.U32(static_cast<uint32_t>(evaluators.size()));
+    for (const chord::NodeId& id : evaluators) w.Id(id);
+  }
   return true;
 }
 
@@ -509,6 +516,14 @@ std::shared_ptr<const CqPayload> DecodeMigrateBucket(
     p->value_counts[std::move(value)] = r.U64();
   }
   p->overflow_values = r.U64();
+  uint32_t ntracked = r.U32();
+  if (!PlausibleCount(r, ntracked)) return nullptr;
+  for (uint32_t i = 0; i < ntracked; ++i) {
+    std::set<chord::NodeId>& evaluators = p->tracked_evaluators[r.Str()];
+    uint32_t nids = r.U32();
+    if (!PlausibleCount(r, nids)) return nullptr;
+    for (uint32_t j = 0; j < nids; ++j) evaluators.insert(r.Id());
+  }
   return r.ok() ? p : nullptr;
 }
 

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/uint160.h"
 #include "core/codec.h"
+#include "core/rewriter.h"
 #include "core/subscriber.h"
 
 namespace contjoin::core {
@@ -248,6 +249,9 @@ size_t ContinuousQueryNetwork::ReconcilePlacement() {
       auto bucket = state.rewriter.alqt.TakeLevel1(mkey);
       size_t objects = 0;
       for (const auto& [signature, group] : bucket) objects += group.size();
+      rewriter::AbsorbTrackedEvaluators(
+          StateOf(*home).rewriter,
+          rewriter::TakeTrackedEvaluators(state.rewriter, bucket));
       StateOf(*home).rewriter.alqt.AbsorbLevel1(mkey, std::move(bucket));
       auto stats = state.rewriter.attr_stats.find(mkey);
       if (stats != state.rewriter.attr_stats.end()) {
@@ -448,7 +452,7 @@ void ContinuousQueryNetwork::RefreshIndexes() {
     if (!node->alive()) continue;
     StateOf(*node).rewriter.sent_rewritten_ids.Clear();
   }
-  for (const query::QueryPtr& query : submission_log_) {
+  for (const auto& [serial, query] : submission_log_) {
     chord::Node* origin = NodeByKey(query->subscriber_key());
     if (origin == nullptr || !origin->alive()) origin = FirstAliveNode();
     if (origin == nullptr) return;

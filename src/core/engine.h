@@ -9,6 +9,8 @@
 #ifndef CONTJOIN_CORE_ENGINE_H_
 #define CONTJOIN_CORE_ENGINE_H_
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -119,8 +121,13 @@ class ContinuousQueryNetwork : public chord::Application,
   /// RunOpenLoopUntil segment boundaries. Returns events run.
   uint64_t RunOpenLoopUntil(sim::SimTime until);
 
-  /// Cancels a continuous query (extension; requires
-  /// options.track_evaluators for evaluator-side garbage collection).
+  /// Cancels a continuous query (extension): every rewriter that may hold
+  /// it drops it from its ALQT bucket. SAI, DAI-T and DAI-V evaluators
+  /// keep rewritten queries or projections, and so does any evaluator
+  /// under options.adapt; there the rewriters also tell the evaluators
+  /// they reached, which requires options.track_evaluators. DAI-Q
+  /// evaluators store tuples only (§4.4.2), so a DAI-Q cancellation never
+  /// goes past the rewriters.
   Status Unsubscribe(size_t node_index, const std::string& query_key);
 
   /// §4.7 "moving an identifier": moves the rewriter role of one
@@ -341,8 +348,9 @@ class ContinuousQueryNetwork : public chord::Application,
   std::vector<chord::Node*> nodes_;
   std::unordered_map<const chord::Node*, std::unique_ptr<NodeState>> states_;
   std::unordered_map<std::string, chord::Node*> nodes_by_key_;
-  /// Submitted queries by key (subscriber-side bookkeeping).
-  std::unordered_map<std::string, query::QueryPtr> submitted_;
+  /// Live submitted queries by key (subscriber-side bookkeeping), each
+  /// with its serial in submission_log_.
+  std::unordered_map<std::string, uint64_t> submitted_;
 
   /// In-flight one-time join results, keyed by otj id.
   std::unordered_map<uint64_t, std::vector<Notification>> otj_results_;
@@ -358,8 +366,10 @@ class ContinuousQueryNetwork : public chord::Application,
   uint64_t churn_join_serial_ = 0;
   /// Origin-side durable logs feeding RefreshIndexes, in original order.
   /// Entries keep their engine-assigned keys and timestamps so a replay
-  /// reproduces the same match decisions.
-  std::vector<query::QueryPtr> submission_log_;
+  /// reproduces the same match decisions. Queries are keyed by submission
+  /// serial, so Unsubscribe drops one without a scan.
+  std::map<uint64_t, query::QueryPtr> submission_log_;
+  uint64_t next_submission_serial_ = 0;
   std::vector<std::pair<chord::Node*, std::shared_ptr<const rel::Tuple>>>
       publish_log_;
 };

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -272,9 +273,14 @@ struct AlqtEntry {
   std::string remaining_level1;
 };
 
+/// Query key -> the evaluator ids its rewrites reached, as a rewriter
+/// tracks them for unsubscription fan-out.
+using TrackedEvaluators = std::map<std::string, std::set<chord::NodeId>>;
+
 /// §4.7 bucket transfer: the attribute-level role of one "R+A#<replica>"
-/// key — its stored queries and arrival statistics — handed from the old
-/// holder to the successor of the key's next-generation identifier.
+/// key — its stored queries, their tracked evaluators and its arrival
+/// statistics — handed from the old holder to the successor of the key's
+/// next-generation identifier.
 struct MigrateBucketPayload : CqPayload {
   MigrateBucketPayload() : CqPayload(CqMsgType::kMigrateBucket) {}
   std::string mkey;
@@ -284,6 +290,8 @@ struct MigrateBucketPayload : CqPayload {
   uint64_t tuples_seen = 0;
   std::map<std::string, uint64_t> value_counts;
   uint64_t overflow_values = 0;
+  /// Evaluators the sender tracked for the moved queries.
+  TrackedEvaluators tracked_evaluators;
 };
 
 /// §4.7: points a moved key's base node at the node now holding the role,

@@ -96,7 +96,10 @@ struct Options {
   bool daiv_prefix_query_key = false;
 
   /// Track, at rewriters, the evaluators each query has been rewritten to,
-  /// enabling exact unsubscription (extension beyond the paper).
+  /// so that unsubscription also clears the query at the evaluators
+  /// (extension beyond the paper). It applies wherever evaluators hold
+  /// query state: SAI, DAI-T, DAI-V, and any algorithm under adapt. DAI-Q
+  /// evaluators hold none (§4.4.2), so there it tracks and sends nothing.
   bool track_evaluators = false;
 
   /// Virtual-time increment applied before each submit/insert so that

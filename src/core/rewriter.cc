@@ -64,7 +64,36 @@ bool IsAlive(ProtocolContext& ctx, const chord::NodeId& id) {
   return peer != nullptr && peer->alive();
 }
 
+/// Rewrites record their evaluators only where an unsubscription has
+/// something to clear there.
+bool TracksEvaluators(const ProtocolContext& ctx) {
+  return ctx.options().track_evaluators &&
+         EvaluatorsHoldQueryState(ctx.options());
+}
+
 }  // namespace
+
+TrackedEvaluators TakeTrackedEvaluators(
+    State& state, const AttrLevelQueryTable::GroupMap& groups) {
+  TrackedEvaluators taken;
+  if (state.query_evaluators.empty()) return taken;
+  for (const auto& [signature, group] : groups) {
+    for (const AlqtEntry& entry : group) {
+      auto tracked = state.query_evaluators.find(entry.query->key());
+      if (tracked == state.query_evaluators.end()) continue;
+      taken.emplace(tracked->first, std::move(tracked->second));
+      state.query_evaluators.erase(tracked);
+    }
+  }
+  return taken;
+}
+
+void AbsorbTrackedEvaluators(State& state, const TrackedEvaluators& tracked) {
+  for (const auto& [query_key, evaluators] : tracked) {
+    state.query_evaluators[query_key].insert(evaluators.begin(),
+                                             evaluators.end());
+  }
+}
 
 bool ForwardIfMoved(ProtocolContext& ctx, chord::Node& node, State& state,
                     const std::string& mkey, const chord::AppMessage& msg) {
@@ -183,7 +212,7 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->known_split = shards;
       pending.payload->split_version = split_version;
     }
-    if (ctx.options().track_evaluators) {
+    if (TracksEvaluators(ctx)) {
       state.rewriter.query_evaluators[q.key()].insert(pending.vindex);
     }
     if (shard + 1 == shards) {
@@ -256,7 +285,7 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->split_version = split_version;
     }
     pending.payload->entries.push_back(daiv_entry);
-    if (ctx.options().track_evaluators) {
+    if (TracksEvaluators(ctx)) {
       state.rewriter.query_evaluators[q.key()].insert(pending.vindex);
     }
   }
@@ -357,11 +386,12 @@ void HandleUnsubscribe(ProtocolContext& ctx, chord::Node& node,
     evaluator::RemoveQuery(state.evaluator, p.query_key);
     return;
   }
-  if (ForwardIfMoved(ctx, node, state.rewriter, MKey(p.level1, p.replica),
-                     msg)) {
-    return;
-  }
-  state.rewriter.alqt.RemoveQuery(p.query_key);
+  const std::string mkey = MKey(p.level1, p.replica);
+  if (ForwardIfMoved(ctx, node, state.rewriter, mkey, msg)) return;
+  state.rewriter.alqt.RemoveQuery(mkey, p.query_key);
+  // Evaluators are told only where they hold something of the query; a
+  // DAI-Q query is gone once its rewriters drop it.
+  if (!TracksEvaluators(ctx)) return;
   auto tracked = state.rewriter.query_evaluators.find(p.query_key);
   if (tracked == state.rewriter.query_evaluators.end()) return;
   std::vector<chord::AppMessage> batch;
@@ -412,11 +442,14 @@ void MoveBucket(ProtocolContext& ctx, chord::Node& node, State& state,
     return;
   }
 
-  // Move the bucket and its statistics (one control transfer).
+  // Move the bucket, its tracked evaluators and its statistics (one
+  // control transfer).
   auto bucket = std::make_shared<MigrateBucketPayload>();
   bucket->mkey = mkey;
   bucket->generation = next_gen;
-  for (auto& [signature, group] : state.alqt.TakeLevel1(mkey)) {
+  AttrLevelQueryTable::GroupMap groups = state.alqt.TakeLevel1(mkey);
+  bucket->tracked_evaluators = TakeTrackedEvaluators(state, groups);
+  for (auto& [signature, group] : groups) {
     for (AlqtEntry& entry : group) bucket->queries.push_back(std::move(entry));
   }
   auto stats = state.attr_stats.find(mkey);
@@ -476,6 +509,7 @@ void HandleMigrateBucket(ProtocolContext& ctx, chord::Node& node,
   stats.value_counts = p.value_counts;
   stats.overflow_values = p.overflow_values;
   state.attr_stats[p.mkey].Merge(stats);
+  AbsorbTrackedEvaluators(state, p.tracked_evaluators);
   state.held_generation[p.mkey] = p.generation;
 }
 

@@ -140,8 +140,8 @@ StatusOr<std::string> ContinuousQueryNetwork::SubmitQuery(
 
   IndexQueryFrom(origin, query);
   simulator_.Run();
-  submitted_[key] = query;
-  submission_log_.push_back(query);
+  submitted_[key] = next_submission_serial_;
+  submission_log_.emplace(next_submission_serial_++, query);
   return key;
 }
 
@@ -377,7 +377,9 @@ Status ContinuousQueryNetwork::Unsubscribe(size_t node_index,
   if (it == submitted_.end()) {
     return Status::NotFound("unknown query key '" + query_key + "'");
   }
-  const query::ContinuousQuery& q = *it->second;
+  auto logged = submission_log_.find(it->second);
+  CJ_CHECK(logged != submission_log_.end());
+  const query::ContinuousQuery& q = *logged->second;
   chord::Node* origin = nodes_[node_index];
   if (!origin->alive()) {
     return Status::FailedPrecondition("node is offline");
@@ -416,13 +418,7 @@ Status ContinuousQueryNetwork::Unsubscribe(size_t node_index,
   submitted_.erase(it);
   // Drop the cancelled query from the durable replay log too, or a later
   // RefreshIndexes would resurrect it.
-  for (auto log_it = submission_log_.begin();
-       log_it != submission_log_.end(); ++log_it) {
-    if ((*log_it)->key() == query_key) {
-      submission_log_.erase(log_it);
-      break;
-    }
-  }
+  submission_log_.erase(logged);
   return Status::OK();
 }
 

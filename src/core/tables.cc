@@ -24,23 +24,25 @@ const AttrLevelQueryTable::GroupMap* AttrLevelQueryTable::Find(
   return it == map_.end() ? nullptr : &it->second;
 }
 
-size_t AttrLevelQueryTable::RemoveQuery(const std::string& query_key) {
+size_t AttrLevelQueryTable::RemoveQuery(const std::string& level1,
+                                        const std::string& query_key) {
+  auto l1 = map_.find(level1);
+  if (l1 == map_.end()) return 0;
+  GroupMap& groups = l1->second;
   size_t removed = 0;
-  for (auto l1 = map_.begin(); l1 != map_.end();) {
-    for (auto l2 = l1->second.begin(); l2 != l1->second.end();) {
-      Group& group = l2->second;
-      for (auto it = group.begin(); it != group.end();) {
-        if (it->query->key() == query_key) {
-          it = group.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
+  for (auto l2 = groups.begin(); l2 != groups.end();) {
+    Group& group = l2->second;
+    for (auto it = group.begin(); it != group.end();) {
+      if (it->query->key() == query_key) {
+        it = group.erase(it);
+        ++removed;
+      } else {
+        ++it;
       }
-      l2 = group.empty() ? l1->second.erase(l2) : std::next(l2);
     }
-    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
+    l2 = group.empty() ? groups.erase(l2) : std::next(l2);
   }
+  if (groups.empty()) map_.erase(l1);
   size_ -= removed;
   return removed;
 }

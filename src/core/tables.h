@@ -44,8 +44,9 @@ class AttrLevelQueryTable {
   /// Groups triggered by a tuple indexed under `level1`; nullptr if none.
   const GroupMap* Find(const std::string& level1) const;
 
-  /// Removes every entry of `query_key`; returns the number removed.
-  size_t RemoveQuery(const std::string& query_key);
+  /// Removes the entries of `query_key` from the `level1` bucket alone;
+  /// returns the number removed.
+  size_t RemoveQuery(const std::string& level1, const std::string& query_key);
 
   /// Extracts and returns an entire level-1 bucket (used when an
   /// attribute-level identifier is moved to another node, §4.7).

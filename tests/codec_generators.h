@@ -1,7 +1,7 @@
 // Seeded random payload fields for the codec tests: strings (empty ones
 // included), values of every type with extreme integers, identifiers with
-// the zero and maximum sentinels, select rows with unbound positions,
-// tuples and parsed queries over a small catalog.
+// the zero and maximum sentinels, tracked evaluator sets, select rows with
+// unbound positions, tuples and parsed queries over a small catalog.
 
 #ifndef CONTJOIN_TESTS_CODEC_GENERATORS_H_
 #define CONTJOIN_TESTS_CODEC_GENERATORS_H_
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,18 @@ class CodecGenerators {
         return Uint160::FromDigest(d);
       }
     }
+  }
+
+  /// Query key -> evaluator ids, as a migrated bucket carries them.
+  static TrackedEvaluators RandomTrackedEvaluators(Rng& rng) {
+    TrackedEvaluators tracked;
+    for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
+      std::set<Uint160>& ids = tracked[RandomString(rng)];
+      for (size_t j = 0, m = rng.NextBelow(4); j < m; ++j) {
+        ids.insert(RandomId(rng));
+      }
+    }
+    return tracked;
   }
 
   static RowTemplate RandomRow(Rng& rng) {

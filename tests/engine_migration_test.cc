@@ -160,6 +160,24 @@ TEST_P(MigrationTest, UnsubscribeFollowsTheMove) {
   EXPECT_EQ(net->TotalStorage().alqt_queries, 0u);
 }
 
+// The evaluators a query was rewritten to before a move travel with its
+// bucket, so the new holder still clears them on unsubscription.
+TEST_P(MigrationTest, UnsubscribeAfterMoveClearsEvaluatorState) {
+  auto net = MakeNet([](Options* o) { o->track_evaluators = true; });
+  auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
+  ASSERT_TRUE(key.ok());
+  ASSERT_TRUE(net->InsertTuple(2, "R", {Value::Int(1), Value::Int(7)}).ok());
+  ASSERT_TRUE(net->MigrateAttribute(1, "R", "B").ok());
+  ASSERT_TRUE(net->MigrateAttribute(1, "S", "E").ok());
+  ASSERT_TRUE(net->Unsubscribe(0, key.value()).ok());
+  ASSERT_TRUE(net->InsertTuple(3, "S", {Value::Int(5), Value::Int(7)}).ok());
+  EXPECT_TRUE(net->TakeNotifications(0).empty());
+  const NodeStorage storage = net->TotalStorage();
+  EXPECT_EQ(storage.alqt_queries, 0u);
+  EXPECT_EQ(storage.vlqt_rewritten, 0u);
+  EXPECT_EQ(storage.daiv_entries, 0u);
+}
+
 // A dropped control hop must not strand a moved bucket: with reliable
 // delivery on, the §4.7 bucket transfer and the moved-pointer update are
 // retried like any other critical message, so every answer still arrives.

@@ -480,6 +480,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         p.value_counts[RandomString(rng)] = rng.Next();
       }
       p.overflow_values = rng.Next();
+      p.tracked_evaluators = RandomTrackedEvaluators(rng);
       ExpectRoundTrip(p);
     }
     {
@@ -543,6 +544,38 @@ TEST_F(CodecRoundTripTest, OutOfRangeSidesAreRefused) {
   EXPECT_TRUE(refused(bucket));
   bucket.queries[0] = AlqtEntry(bucket.queries[0].query, 0);
   EXPECT_FALSE(refused(bucket));
+}
+
+// A moved bucket's tracked evaluators decode to the same map, including
+// a query tracked with no evaluator and the sentinel identifiers.
+TEST_F(CodecRoundTripTest, MigrateBucketCarriesTrackedEvaluators) {
+  Rng rng(97);
+  MigrateBucketPayload bucket;
+  bucket.mkey = "R+B#0";
+  bucket.queries.emplace_back(RandomQuery(rng), 0);
+  bucket.tracked_evaluators["q#1"] = {Uint160(), Uint160::Max(),
+                                      HashKey("S+E+7")};
+  bucket.tracked_evaluators["q#2"] = {};
+  wire::Writer w;
+  ASSERT_TRUE(PayloadCodec::Default().Encode(bucket, w));
+  wire::Reader r(w.bytes());
+  auto decoded = std::dynamic_pointer_cast<const MigrateBucketPayload>(
+      PayloadCodec::Default().Decode(r, catalog_));
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->tracked_evaluators, bucket.tracked_evaluators);
+
+  // A tracked-query count larger than the rest of the frame is refused.
+  // The count is the last field of a frame that tracks nothing.
+  MigrateBucketPayload untracked = bucket;
+  untracked.tracked_evaluators.clear();
+  wire::Writer prefix;
+  ASSERT_TRUE(PayloadCodec::Default().Encode(untracked, prefix));
+  std::vector<uint8_t> bytes = w.bytes();
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                  prefix.bytes().size() - 4),
+              4, uint8_t{0xff});
+  wire::Reader forged(bytes);
+  EXPECT_EQ(PayloadCodec::Default().Decode(forged, catalog_), nullptr);
 }
 
 // Notifications are routed to HashKey(subscriber_key). The query caches

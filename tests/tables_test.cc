@@ -65,10 +65,15 @@ TEST_F(TablesTest, AlqtInsertFindRemove) {
   EXPECT_EQ(groups->begin()->second.size(), 2u);
   EXPECT_EQ(alqt.Find("R+A"), nullptr);
 
-  EXPECT_EQ(alqt.RemoveQuery("n1#0"), 2u);
-  EXPECT_EQ(alqt.size(), 1u);
+  // Removal touches the named bucket only: q1 stays under R+B.
+  EXPECT_EQ(alqt.RemoveQuery("S+E", "n1#0"), 1u);
+  EXPECT_EQ(alqt.size(), 2u);
   EXPECT_EQ(alqt.Find("S+E"), nullptr);  // Emptied level-1 pruned.
-  EXPECT_NE(alqt.Find("R+B"), nullptr);
+  EXPECT_EQ(alqt.RemoveQuery("R+A", "n1#0"), 0u);  // No such bucket.
+  EXPECT_EQ(alqt.RemoveQuery("R+B", "n1#0"), 1u);
+  EXPECT_EQ(alqt.size(), 1u);
+  ASSERT_NE(alqt.Find("R+B"), nullptr);
+  EXPECT_EQ(alqt.Find("R+B")->begin()->second.size(), 1u);
 }
 
 TEST_F(TablesTest, VlqtDedupByRewrittenKey) {
