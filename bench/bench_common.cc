@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 namespace contjoin::bench {
@@ -77,6 +78,59 @@ std::string Fmt(double v) {
 }
 
 std::string Fmt(uint64_t v) { return std::to_string(v); }
+
+JsonObject& JsonObject::Raw(const std::string& key, std::string value) {
+  fields_.emplace_back(key, std::move(value));
+  return *this;
+}
+
+JsonObject& JsonObject::Num(const std::string& key, double v) {
+  return Raw(key, Fmt(v));
+}
+
+JsonObject& JsonObject::Int(const std::string& key, uint64_t v) {
+  return Raw(key, std::to_string(v));
+}
+
+JsonObject& JsonObject::Bool(const std::string& key, bool v) {
+  return Raw(key, v ? "true" : "false");
+}
+
+JsonObject& JsonObject::Str(const std::string& key, const std::string& v) {
+  return Raw(key, "\"" + v + "\"");
+}
+
+JsonObject& JsonObject::Obj(const std::string& key, const JsonObject& v) {
+  return Raw(key, v.Line());
+}
+
+JsonObject& JsonObject::List(const std::string& key,
+                             const std::vector<JsonObject>& v) {
+  std::string out = "[\n";
+  for (size_t i = 0; i < v.size(); ++i) {
+    out += "    " + v[i].Line() + (i + 1 < v.size() ? ",\n" : "\n");
+  }
+  return Raw(key, out + "  ]");
+}
+
+std::string JsonObject::Line() const {
+  std::string out = "{";
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "\"" + fields_[i].first + "\": " + fields_[i].second;
+  }
+  return out + "}";
+}
+
+void JsonObject::WriteFile(const std::string& path) const {
+  std::ofstream file(path);
+  file << "{\n";
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    file << "  \"" << fields_[i].first << "\": " << fields_[i].second
+         << (i + 1 < fields_.size() ? ",\n" : "\n");
+  }
+  file << "}\n";
+}
 
 PhaseResult RunStandardPhases(workload::ExperimentDriver* driver,
                               size_t num_queries, size_t num_tuples) {

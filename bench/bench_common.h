@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/driver.h"
 
@@ -46,6 +48,30 @@ void PrintRow(const std::string& row);
 /// Convenience formatting.
 std::string Fmt(double v);
 std::string Fmt(uint64_t v);
+
+/// A JSON object whose fields keep insertion order. A record renders on
+/// one line, {"key": value, ...}; a BENCH_*.json file is one such object
+/// written with one top-level field per line and one record per line in
+/// each list.
+class JsonObject {
+ public:
+  JsonObject& Num(const std::string& key, double v);  // Formatted by Fmt.
+  JsonObject& Int(const std::string& key, uint64_t v);
+  JsonObject& Bool(const std::string& key, bool v);
+  JsonObject& Str(const std::string& key, const std::string& v);
+  JsonObject& Obj(const std::string& key, const JsonObject& v);
+  JsonObject& List(const std::string& key, const std::vector<JsonObject>& v);
+
+  /// {"key": value, ...} on one line.
+  std::string Line() const;
+  /// Writes the object to `path` as a BENCH_*.json document.
+  void WriteFile(const std::string& path) const;
+
+ private:
+  JsonObject& Raw(const std::string& key, std::string value);
+
+  std::vector<std::pair<std::string, std::string>> fields_;
+};
 
 /// Runs the standard two-phase experiment: install `num_queries`, reset the
 /// load counters, stream `num_tuples`, drain inboxes. Returns the traffic

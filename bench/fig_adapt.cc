@@ -9,7 +9,6 @@
 // machine-readable BENCH_adapt.json.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -72,19 +71,17 @@ CellResult RunCell(const Cell& cell, size_t num_queries, size_t num_tuples) {
   return out;
 }
 
-std::string JsonRecord(const Cell& cell, const CellResult& r) {
-  std::string json = "    {";
-  json += "\"theta\": " + bench::Fmt(cell.theta) + ", ";
-  json += std::string("\"adapt\": ") + (cell.adapt ? "true" : "false") + ", ";
-  json += "\"tf_gini\": " + bench::Fmt(r.tf_gini) + ", ";
-  json += "\"tf_top1\": " + bench::Fmt(r.tf_top1) + ", ";
-  json += "\"tf_max\": " + bench::Fmt(r.tf_max) + ", ";
-  json += "\"notifications\": " + std::to_string(r.notifications) + ", ";
-  json += "\"directives\": " + std::to_string(r.directives) + ", ";
-  json += "\"redirects\": " + std::to_string(r.redirects) + ", ";
-  json += "\"reships\": " + std::to_string(r.reships);
-  json += "}";
-  return json;
+bench::JsonObject JsonRecord(const Cell& cell, const CellResult& r) {
+  return bench::JsonObject()
+      .Num("theta", cell.theta)
+      .Bool("adapt", cell.adapt)
+      .Num("tf_gini", r.tf_gini)
+      .Num("tf_top1", r.tf_top1)
+      .Num("tf_max", r.tf_max)
+      .Int("notifications", r.notifications)
+      .Int("directives", r.directives)
+      .Int("redirects", r.redirects)
+      .Int("reships", r.reships);
 }
 
 }  // namespace
@@ -107,7 +104,7 @@ int main() {
       "directives\tredirects\treships");
 
   const std::vector<double> kThetas = {0.0, 0.9, 1.2};
-  std::vector<std::string> records;
+  std::vector<bench::JsonObject> records;
   CellResult uniform_on;   // theta 0, adapt on: the acceptance baseline.
   CellResult skewed_on;    // theta 0.9, adapt on: the acceptance subject.
   CellResult skewed_off;   // theta 0.9, adapt off: what it rescues.
@@ -147,17 +144,17 @@ int main() {
               bench::Fmt(skewed_off.tf_top1).c_str(),
               bench::Fmt(skewed_on.tf_top1).c_str());
 
-  std::ofstream json("BENCH_adapt.json");
-  json << "{\n  \"figure\": \"adapt\",\n  \"accept_factor\": "
-       << bench::Fmt(kAcceptFactor) << ",\n  \"runs\": [\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    json << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  json << "  ],\n  \"acceptance\": {\"gini_ratio\": " << bench::Fmt(gini_ratio)
-       << ", \"top1_ratio\": " << bench::Fmt(top1_ratio)
-       << ", \"gini_ok\": " << (gini_ok ? "true" : "false")
-       << ", \"top1_ok\": " << (top1_ok ? "true" : "false")
-       << ", \"directives\": " << skewed_on.directives << "}\n}\n";
+  bench::JsonObject()
+      .Str("figure", "adapt")
+      .Num("accept_factor", kAcceptFactor)
+      .List("runs", records)
+      .Obj("acceptance", bench::JsonObject()
+                             .Num("gini_ratio", gini_ratio)
+                             .Num("top1_ratio", top1_ratio)
+                             .Bool("gini_ok", gini_ok)
+                             .Bool("top1_ok", top1_ok)
+                             .Int("directives", skewed_on.directives))
+      .WriteFile("BENCH_adapt.json");
   std::printf("\nwrote BENCH_adapt.json (%zu runs)\n", records.size());
 
   // The smoke gate: the manager must have acted on the skewed run and

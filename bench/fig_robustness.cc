@@ -6,7 +6,6 @@
 // soft-state repair path. Besides the usual rows, emits machine-readable
 // BENCH_robustness.json for plotting.
 
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -154,33 +153,25 @@ RunOutcome RunOne(const RunConfig& rc, size_t num_nodes, size_t num_queries,
   return out;
 }
 
-std::string JsonRecord(const RunConfig& rc, const RunOutcome& o) {
-  std::string json = "    {";
-  json += "\"algorithm\": \"" + std::string(AlgorithmName(rc.algorithm)) +
-          "\", ";
-  json += "\"drop_prob\": " + bench::Fmt(rc.drop_prob) + ", ";
-  json += std::string("\"churn\": ") + (rc.churn ? "true" : "false") + ", ";
-  json += std::string("\"reliability\": ") +
-          (rc.reliability ? "true" : "false") + ", ";
-  json += "\"expected\": " + std::to_string(o.expected) + ", ";
-  json += "\"delivered\": " + std::to_string(o.delivered) + ", ";
-  json += "\"completeness\": " + bench::Fmt(o.Completeness()) + ", ";
-  json += "\"reliable_sent\": " + std::to_string(o.totals.reliable_sent) +
-          ", ";
-  json += "\"retries\": " + std::to_string(o.totals.reliable_retries) + ", ";
-  json += "\"acks\": " + std::to_string(o.totals.reliable_acks_sent) + ", ";
-  json += "\"dups_suppressed\": " +
-          std::to_string(o.totals.reliable_dups_suppressed) + ", ";
-  json += "\"abandoned\": " + std::to_string(o.totals.reliable_abandoned) +
-          ", ";
-  json += "\"injected_drops\": " + std::to_string(o.injected_drops) + ", ";
-  json += "\"injected_duplicates\": " +
-          std::to_string(o.injected_duplicates) + ", ";
-  json += "\"injected_delays\": " + std::to_string(o.injected_delays) + ", ";
-  json += "\"total_hops\": " + std::to_string(o.total_hops) + ", ";
-  json += "\"total_bytes\": " + std::to_string(o.total_bytes);
-  json += "}";
-  return json;
+bench::JsonObject JsonRecord(const RunConfig& rc, const RunOutcome& o) {
+  return bench::JsonObject()
+      .Str("algorithm", AlgorithmName(rc.algorithm))
+      .Num("drop_prob", rc.drop_prob)
+      .Bool("churn", rc.churn)
+      .Bool("reliability", rc.reliability)
+      .Int("expected", o.expected)
+      .Int("delivered", o.delivered)
+      .Num("completeness", o.Completeness())
+      .Int("reliable_sent", o.totals.reliable_sent)
+      .Int("retries", o.totals.reliable_retries)
+      .Int("acks", o.totals.reliable_acks_sent)
+      .Int("dups_suppressed", o.totals.reliable_dups_suppressed)
+      .Int("abandoned", o.totals.reliable_abandoned)
+      .Int("injected_drops", o.injected_drops)
+      .Int("injected_duplicates", o.injected_duplicates)
+      .Int("injected_delays", o.injected_delays)
+      .Int("total_hops", o.total_hops)
+      .Int("total_bytes", o.total_bytes);
 }
 
 std::string Row(const RunConfig& rc, const RunOutcome& o) {
@@ -237,19 +228,17 @@ int main() {
   bench::PrintRow(
       "algorithm\tdrop%\tchurn\treliability\tcompleteness%\tanswers\t"
       "retries\tacks\tinjected_drops\ttotal_hops\tbytes");
-  std::vector<std::string> records;
+  std::vector<bench::JsonObject> records;
   for (const RunConfig& rc : sweep) {
     RunOutcome o = RunOne(rc, kNodes, kQueries, kTuples, kSeed);
     bench::PrintRow(Row(rc, o));
     records.push_back(JsonRecord(rc, o));
   }
 
-  std::ofstream json("BENCH_robustness.json");
-  json << "{\n  \"figure\": \"robustness\",\n  \"runs\": [\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    json << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
+  bench::JsonObject()
+      .Str("figure", "robustness")
+      .List("runs", records)
+      .WriteFile("BENCH_robustness.json");
   std::printf("\nwrote BENCH_robustness.json (%zu runs)\n", records.size());
   return 0;
 }

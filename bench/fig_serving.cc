@@ -10,7 +10,6 @@
 // curve is the capacity signal. Emits machine-readable BENCH_serving.json.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -86,28 +85,24 @@ CellOutcome RunCell(const CellConfig& cc) {
   return out;
 }
 
-std::string JsonRecord(const CellConfig& cc, const CellOutcome& o) {
+bench::JsonObject JsonRecord(const CellConfig& cc, const CellOutcome& o) {
   const serving::ServingReport& r = o.report;
-  std::string json = "    {";
-  json += std::string("\"algo\": \"") + core::AlgorithmName(cc.algo) + "\", ";
-  json += "\"nodes\": " + std::to_string(cc.nodes) + ", ";
-  json += "\"fanout\": " + std::to_string(cc.fanout) + ", ";
-  json += std::string("\"churn\": ") + (cc.churn ? "true" : "false") + ", ";
-  json += "\"rate\": " + bench::Fmt(cc.rate) + ", ";
-  json += "\"measured\": " + std::to_string(r.measured) + ", ";
-  json += "\"redelivered\": " + std::to_string(r.redelivered) + ", ";
-  json += "\"p50\": " + bench::Fmt(r.latency.p50()) + ", ";
-  json += "\"p99\": " + bench::Fmt(r.latency.p99()) + ", ";
-  json += "\"p999\": " + bench::Fmt(r.latency.p999()) + ", ";
-  json += "\"max_queue\": " + std::to_string(o.max_queue) + ", ";
-  json += "\"deferred\": " + std::to_string(r.traffic.deferred()) + ", ";
-  json += "\"retry_amplification\": " + bench::Fmt(r.RetryAmplification()) +
-          ", ";
-  json += "\"slo\": " + bench::Fmt(SloFor(cc.churn)) + ", ";
-  json += std::string("\"slo_met\": ") +
-          (r.latency.p99() <= SloFor(cc.churn) ? "true" : "false");
-  json += "}";
-  return json;
+  return bench::JsonObject()
+      .Str("algo", core::AlgorithmName(cc.algo))
+      .Int("nodes", cc.nodes)
+      .Int("fanout", cc.fanout)
+      .Bool("churn", cc.churn)
+      .Num("rate", cc.rate)
+      .Int("measured", r.measured)
+      .Int("redelivered", r.redelivered)
+      .Num("p50", r.latency.p50())
+      .Num("p99", r.latency.p99())
+      .Num("p999", r.latency.p999())
+      .Int("max_queue", o.max_queue)
+      .Int("deferred", r.traffic.deferred())
+      .Num("retry_amplification", r.RetryAmplification())
+      .Num("slo", SloFor(cc.churn))
+      .Bool("slo_met", r.latency.p99() <= SloFor(cc.churn));
 }
 
 }  // namespace
@@ -142,8 +137,8 @@ int main() {
       "algo\tnodes\tfanout\tchurn\trate\tmeasured\tp50\tp99\tp999\t"
       "max_queue\tdeferred\tretry_amp\tslo");
 
-  std::vector<std::string> records;
-  std::vector<std::string> summary;
+  std::vector<bench::JsonObject> records;
+  std::vector<bench::JsonObject> summary;
   auto run_ladder = [&](core::Algorithm algo, size_t nodes, size_t fanout,
                         bool churn) {
     double max_rate = 0.0;
@@ -169,12 +164,12 @@ int main() {
       // fails, higher rungs only fail harder.
       if (!ok) break;
     }
-    summary.push_back(
-        std::string("    {\"algo\": \"") + core::AlgorithmName(algo) +
-        "\", \"nodes\": " + std::to_string(nodes) +
-        ", \"fanout\": " + std::to_string(fanout) +
-        std::string(", \"churn\": ") + (churn ? "true" : "false") +
-        ", \"max_sustainable_rate\": " + bench::Fmt(max_rate) + "}");
+    summary.push_back(bench::JsonObject()
+                          .Str("algo", core::AlgorithmName(algo))
+                          .Int("nodes", nodes)
+                          .Int("fanout", fanout)
+                          .Bool("churn", churn)
+                          .Num("max_sustainable_rate", max_rate));
     std::printf("# %s N=%zu fanout=%zu churn=%s: max sustainable rate %s\n",
                 core::AlgorithmName(algo), nodes, fanout,
                 churn ? "storm" : "none", bench::Fmt(max_rate).c_str());
@@ -190,18 +185,13 @@ int main() {
     run_ladder(algo, kRings[0], kFanouts[0], /*churn=*/true);
   }
 
-  std::ofstream json("BENCH_serving.json");
-  json << "{\n  \"figure\": \"serving\",\n  \"slo_p99\": "
-       << bench::Fmt(kSloP99) << ",\n  \"slo_p99_churn\": "
-       << bench::Fmt(kSloP99Churn) << ",\n  \"runs\": [\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    json << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  json << "  ],\n  \"max_sustainable\": [\n";
-  for (size_t i = 0; i < summary.size(); ++i) {
-    json << summary[i] << (i + 1 < summary.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
+  bench::JsonObject()
+      .Str("figure", "serving")
+      .Num("slo_p99", kSloP99)
+      .Num("slo_p99_churn", kSloP99Churn)
+      .List("runs", records)
+      .List("max_sustainable", summary)
+      .WriteFile("BENCH_serving.json");
   std::printf("\nwrote BENCH_serving.json (%zu runs)\n", records.size());
   return 0;
 }

@@ -10,7 +10,6 @@
 // of real-time reads so simulation stays reproducible.
 
 #include <chrono>
-#include <fstream>
 #include <thread>
 #include <string>
 #include <utility>
@@ -79,20 +78,17 @@ RunOutcome RunOne(const RunConfig& rc, size_t num_queries, size_t num_waves,
   return out;
 }
 
-std::string JsonRecord(const RunConfig& rc, const RunOutcome& o) {
-  std::string json = "    {";
-  json += "\"nodes\": " + std::to_string(rc.num_nodes) + ", ";
-  json += "\"threads\": " + std::to_string(rc.threads) + ", ";
-  json += "\"events\": " + std::to_string(o.events) + ", ";
-  json += "\"tuples\": " + std::to_string(o.tuples) + ", ";
-  json += "\"parallel_batches\": " + std::to_string(o.parallel_batches) +
-          ", ";
-  json += "\"notifications\": " + std::to_string(o.notifications) + ", ";
-  json += "\"seconds\": " + bench::Fmt(o.seconds) + ", ";
-  json += "\"events_per_sec\": " + bench::Fmt(o.EventsPerSec()) + ", ";
-  json += "\"tuples_per_sec\": " + bench::Fmt(o.TuplesPerSec());
-  json += "}";
-  return json;
+bench::JsonObject JsonRecord(const RunConfig& rc, const RunOutcome& o) {
+  return bench::JsonObject()
+      .Int("nodes", rc.num_nodes)
+      .Int("threads", rc.threads)
+      .Int("events", o.events)
+      .Int("tuples", o.tuples)
+      .Int("parallel_batches", o.parallel_batches)
+      .Int("notifications", o.notifications)
+      .Num("seconds", o.seconds)
+      .Num("events_per_sec", o.EventsPerSec())
+      .Num("tuples_per_sec", o.TuplesPerSec());
 }
 
 }  // namespace
@@ -114,7 +110,7 @@ int main() {
   // overhead, so record the budget next to the numbers it explains.
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("# hardware_concurrency: %u\n", hw);
-  std::vector<std::string> records;
+  std::vector<bench::JsonObject> records;
   bench::PrintRow(
       "nodes\tthreads\ttuples\tevents\tparallel_batches\t"
       "seconds\tevents_per_sec\ttuples_per_sec\tnotifications");
@@ -143,13 +139,11 @@ int main() {
     }
   }
 
-  std::ofstream json("BENCH_throughput.json");
-  json << "{\n  \"figure\": \"throughput\",\n  \"hardware_concurrency\": "
-       << hw << ",\n  \"runs\": [\n";
-  for (size_t i = 0; i < records.size(); ++i) {
-    json << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
+  bench::JsonObject()
+      .Str("figure", "throughput")
+      .Int("hardware_concurrency", hw)
+      .List("runs", records)
+      .WriteFile("BENCH_throughput.json");
   std::printf("\nwrote BENCH_throughput.json (%zu runs)\n", records.size());
   return 0;
 }

@@ -120,7 +120,6 @@ void ShipJoinEntries(ProtocolContext& ctx, chord::Node& from,
   msg.cls = sim::MsgClass::kControl;
   msg.payload = std::move(payload);
   reliability::SendReliable(ctx, from, std::move(msg));
-  ctx.RecordAdapt(AdaptStat::kReship);
 }
 
 std::vector<RewrittenEntry> BucketToEntries(
@@ -155,7 +154,6 @@ void ShipStoredTuple(ProtocolContext& ctx, chord::Node& from,
   msg.cls = sim::MsgClass::kControl;
   msg.payload = std::move(payload);
   reliability::SendReliable(ctx, from, std::move(msg));
-  ctx.RecordAdapt(AdaptStat::kReship);
 }
 
 /// Ships DAI-V entries (rebuilt from stored projections) to one sub-key
@@ -174,7 +172,6 @@ void ShipDaivEntries(ProtocolContext& ctx, chord::Node& from,
   msg.cls = sim::MsgClass::kControl;
   msg.payload = std::move(payload);
   reliability::SendReliable(ctx, from, std::move(msg));
-  ctx.RecordAdapt(AdaptStat::kReship);
 }
 
 DaivEntry RebuildDaivEntry(const DaivStored& stored, int side) {
@@ -313,7 +310,6 @@ void DecideValue(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   state.adapt.directory.ApplySplit(level1, base, next, version, epoch);
   state.adapt.acted_split[family] = version;
   ++state.metrics.adapt_directives;
-  ctx.RecordAdapt(AdaptStat::kDirective);
   // Local transition first: the shard set changed under this node.
   if (!OwnsLiveShard(node, level1, base, next)) {
     SweepFamily(ctx, node, state, level1, base);
@@ -363,7 +359,6 @@ void DecideAttr(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   const uint64_t version = (d == nullptr ? 0 : d->version) + 1;
   state.adapt.directory.ApplyReplicas(level1, next, version, epoch);
   ++state.metrics.adapt_directives;
-  ctx.RecordAdapt(AdaptStat::kDirective);
   if (next > current) {
     // Ship the replica-0 bucket to each new replica. ALQT inserts are
     // idempotent, so overlap with per-arrival top-ups is harmless. A
@@ -387,7 +382,6 @@ void DecideAttr(ProtocolContext& ctx, chord::Node& node, NodeState& state,
           }
         }
         ++state.metrics.adapt_reships;
-        ctx.RecordAdapt(AdaptStat::kReship);
       }
     }
   }
@@ -421,7 +415,6 @@ void RedispatchJoin(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     reliability::SendReliable(ctx, node, std::move(msg));
   }
   ++state.metrics.adapt_redirects;
-  ctx.RecordAdapt(AdaptStat::kRedirect);
 }
 
 /// DAI-V counterpart of RedispatchJoin: side-1 entries fan to every
@@ -455,7 +448,6 @@ void RedispatchDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     reliability::SendReliable(ctx, node, std::move(msg));
   }
   ++state.metrics.adapt_redirects;
-  ctx.RecordAdapt(AdaptStat::kRedirect);
 }
 
 }  // namespace
@@ -557,7 +549,6 @@ bool OnAttrTuple(ProtocolContext& ctx, chord::Node& node,
     msg.payload = std::move(copy);
     reliability::SendReliable(ctx, node, std::move(msg));
     ++state.metrics.adapt_redirects;
-    ctx.RecordAdapt(AdaptStat::kRedirect);
     return true;
   }
   if (p.replica == 0) DecideAttr(ctx, node, state, p.level1);
@@ -600,7 +591,6 @@ bool OnValueTuple(ProtocolContext& ctx, chord::Node& node,
   msg.payload = std::move(fwd);
   reliability::SendReliable(ctx, node, std::move(msg));
   ++state.metrics.adapt_redirects;
-  ctx.RecordAdapt(AdaptStat::kRedirect);
   return true;
 }
 

@@ -33,14 +33,6 @@ namespace contjoin::core {
 struct NodeState;
 class AlgorithmStrategy;
 
-/// Event classes of the adaptive load manager, accounted through
-/// ProtocolContext::RecordAdapt into sim::NetStats.
-enum class AdaptStat {
-  kDirective,  // A new replicate/split directive was issued.
-  kRedirect,   // Traffic at a dead key was re-dispatched to live owners.
-  kReship,     // A stored bucket (or a top-up copy) was re-placed.
-};
-
 class ProtocolContext {
  public:
   virtual ~ProtocolContext() = default;
@@ -80,9 +72,6 @@ class ProtocolContext {
   /// deferred to a later epoch. Default no-op so seam mocks that predate
   /// the serving layer keep working unchanged.
   virtual void RecordBackpressure(bool shed) { (void)shed; }
-  /// Accounts one adaptive-load-manager event (see AdaptStat). Default
-  /// no-op so seam mocks that predate the subsystem keep working.
-  virtual void RecordAdapt(AdaptStat stat) { (void)stat; }
 
   // --- Reliable delivery ------------------------------------------------------
 

@@ -263,19 +263,6 @@ class ContinuousQueryNetwork : public chord::Application,
       network_.stats().AddDeferred();
     }
   }
-  void RecordAdapt(AdaptStat stat) override {
-    switch (stat) {
-      case AdaptStat::kDirective:
-        network_.stats().AddAdaptDirective();
-        break;
-      case AdaptStat::kRedirect:
-        network_.stats().AddAdaptRedirect();
-        break;
-      case AdaptStat::kReship:
-        network_.stats().AddAdaptReship();
-        break;
-    }
-  }
   uint64_t NextReliableId(chord::Node& from) override {
     // Ids embed the node serial so two nodes never collide, and live in
     // NodeState (outside reliability::State) so a crash wiping the

@@ -11,12 +11,20 @@
 //  * Storage load TS(n): the number of objects resident at n — queries in
 //    the ALQT, rewritten queries in the VLQT, tuples in the VLTT, DAI-V
 //    projections, and stored off-line notifications.
+//
+// Each counter struct lists its counters once, in a table of
+// {name, member} rows (kNodeMetricsFields, kNodeStorageFields). Folding,
+// differencing and reporting loop over that table, and a static_assert
+// refuses a field added without a row. Adaptive-load-manager events are
+// counted here only (NodeMetrics::adapt_*); sim::NetStats keeps traffic.
 
 #ifndef CONTJOIN_CORE_METRICS_H_
 #define CONTJOIN_CORE_METRICS_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "core/messages.h"
@@ -61,32 +69,18 @@ struct NodeMetrics {
   uint64_t TotalFilterOps() const { return filter_ops_attr + filter_ops_value; }
 
   /// Folds another node's counters in (system-wide aggregation).
-  void Accumulate(const NodeMetrics& m) {
-    filter_ops_attr += m.filter_ops_attr;
-    filter_ops_value += m.filter_ops_value;
-    tuples_received_attr += m.tuples_received_attr;
-    tuples_received_value += m.tuples_received_value;
-    joins_received += m.joins_received;
-    queries_received += m.queries_received;
-    rewrites_sent += m.rewrites_sent;
-    rewrites_skipped_dup += m.rewrites_skipped_dup;
-    rewrites_skipped_nosol += m.rewrites_skipped_nosol;
-    notifications_created += m.notifications_created;
-    reliable_sent += m.reliable_sent;
-    reliable_retries += m.reliable_retries;
-    reliable_acks_sent += m.reliable_acks_sent;
-    reliable_dups_suppressed += m.reliable_dups_suppressed;
-    reliable_abandoned += m.reliable_abandoned;
-    adapt_directives += m.adapt_directives;
-    adapt_redirects += m.adapt_redirects;
-    adapt_reships += m.adapt_reships;
-    for (size_t i = 0; i < received_by_type.size(); ++i) {
-      received_by_type[i] += m.received_by_type[i];
-    }
-    msgs_unhandled += m.msgs_unhandled;
-  }
-
+  void Accumulate(const NodeMetrics& m);
+  /// Counter-by-counter difference (*this - earlier); isolates a phase.
+  NodeMetrics Since(const NodeMetrics& earlier) const;
   void Reset() { *this = NodeMetrics(); }
+  /// One "name=value" line per counter, in table order.
+  std::string Report() const;
+  bool operator==(const NodeMetrics&) const = default;
+
+ private:
+  /// Calls op(counter of *this, same counter of `m`) for every counter.
+  template <typename Op>
+  void Zip(const NodeMetrics& m, Op op);
 };
 
 /// Storage snapshot of one node (computed from its tables on demand).
@@ -99,22 +93,106 @@ struct NodeStorage {
   uint64_t mw_queries = 0;   // Multi-way queries at rewriters (extension).
   uint64_t mw_partials = 0;  // Multi-way partial bindings at evaluators.
 
-  uint64_t Total() const {
-    return alqt_queries + vlqt_rewritten + vltt_tuples + daiv_entries +
-           stored_notifications + mw_queries + mw_partials;
-  }
-
+  uint64_t Total() const;
   /// Folds another node's snapshot in (system-wide aggregation).
-  void Accumulate(const NodeStorage& s) {
-    alqt_queries += s.alqt_queries;
-    vlqt_rewritten += s.vlqt_rewritten;
-    vltt_tuples += s.vltt_tuples;
-    daiv_entries += s.daiv_entries;
-    stored_notifications += s.stored_notifications;
-    mw_queries += s.mw_queries;
-    mw_partials += s.mw_partials;
-  }
+  void Accumulate(const NodeStorage& s);
+  std::string Report() const;
 };
+
+/// One named counter of the counter struct S.
+template <typename S>
+struct CounterField {
+  const char* name;
+  uint64_t S::*member;
+};
+
+/// Every scalar counter of NodeMetrics. received_by_type, the one indexed
+/// range, follows these rows in every loop.
+inline constexpr CounterField<NodeMetrics> kNodeMetricsFields[] = {
+    {"filter_ops_attr", &NodeMetrics::filter_ops_attr},
+    {"filter_ops_value", &NodeMetrics::filter_ops_value},
+    {"tuples_received_attr", &NodeMetrics::tuples_received_attr},
+    {"tuples_received_value", &NodeMetrics::tuples_received_value},
+    {"joins_received", &NodeMetrics::joins_received},
+    {"queries_received", &NodeMetrics::queries_received},
+    {"rewrites_sent", &NodeMetrics::rewrites_sent},
+    {"rewrites_skipped_dup", &NodeMetrics::rewrites_skipped_dup},
+    {"rewrites_skipped_nosol", &NodeMetrics::rewrites_skipped_nosol},
+    {"notifications_created", &NodeMetrics::notifications_created},
+    {"reliable_sent", &NodeMetrics::reliable_sent},
+    {"reliable_retries", &NodeMetrics::reliable_retries},
+    {"reliable_acks_sent", &NodeMetrics::reliable_acks_sent},
+    {"reliable_dups_suppressed", &NodeMetrics::reliable_dups_suppressed},
+    {"reliable_abandoned", &NodeMetrics::reliable_abandoned},
+    {"adapt_directives", &NodeMetrics::adapt_directives},
+    {"adapt_redirects", &NodeMetrics::adapt_redirects},
+    {"adapt_reships", &NodeMetrics::adapt_reships},
+    {"msgs_unhandled", &NodeMetrics::msgs_unhandled},
+};
+inline constexpr size_t kNodeMetricsSlots =
+    std::size(kNodeMetricsFields) + kCqMsgTypeCount;
+static_assert(sizeof(NodeMetrics) == 8 * kNodeMetricsSlots,
+              "every NodeMetrics counter needs a row in kNodeMetricsFields");
+
+inline constexpr CounterField<NodeStorage> kNodeStorageFields[] = {
+    {"alqt_queries", &NodeStorage::alqt_queries},
+    {"vlqt_rewritten", &NodeStorage::vlqt_rewritten},
+    {"vltt_tuples", &NodeStorage::vltt_tuples},
+    {"daiv_entries", &NodeStorage::daiv_entries},
+    {"stored_notifications", &NodeStorage::stored_notifications},
+    {"mw_queries", &NodeStorage::mw_queries},
+    {"mw_partials", &NodeStorage::mw_partials},
+};
+static_assert(sizeof(NodeStorage) == 8 * std::size(kNodeStorageFields),
+              "every NodeStorage counter needs a row in kNodeStorageFields");
+
+template <typename Op>
+void NodeMetrics::Zip(const NodeMetrics& m, Op op) {
+  for (const auto& f : kNodeMetricsFields) op(this->*f.member, m.*f.member);
+  for (size_t i = 0; i < kCqMsgTypeCount; ++i) {
+    op(received_by_type[i], m.received_by_type[i]);
+  }
+}
+
+inline void NodeMetrics::Accumulate(const NodeMetrics& m) {
+  Zip(m, [](uint64_t& x, uint64_t y) { x += y; });
+}
+
+inline NodeMetrics NodeMetrics::Since(const NodeMetrics& earlier) const {
+  NodeMetrics out = *this;
+  out.Zip(earlier, [](uint64_t& x, uint64_t y) { x -= y; });
+  return out;
+}
+
+inline std::string NodeMetrics::Report() const {
+  std::string out;
+  for (const auto& f : kNodeMetricsFields) {
+    out += std::string(f.name) + "=" + std::to_string(this->*f.member) + "\n";
+  }
+  for (size_t i = 0; i < kCqMsgTypeCount; ++i) {
+    const std::string name = "received_by_type[" + std::to_string(i) + "]";
+    out += name + "=" + std::to_string(received_by_type[i]) + "\n";
+  }
+  return out;
+}
+
+inline uint64_t NodeStorage::Total() const {
+  uint64_t total = 0;
+  for (const auto& f : kNodeStorageFields) total += this->*f.member;
+  return total;
+}
+
+inline void NodeStorage::Accumulate(const NodeStorage& s) {
+  for (const auto& f : kNodeStorageFields) this->*f.member += s.*f.member;
+}
+
+inline std::string NodeStorage::Report() const {
+  std::string out;
+  for (const auto& f : kNodeStorageFields) {
+    out += std::string(f.name) + "=" + std::to_string(this->*f.member) + "\n";
+  }
+  return out;
+}
 
 }  // namespace contjoin::core
 

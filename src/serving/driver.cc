@@ -122,11 +122,7 @@ ServingReport ServingDriver::Run() {
   report.events_run += net_->simulator()->Run();
 
   report.traffic = net_->stats().Since(before);
-  const core::NodeMetrics metrics_after = net_->TotalMetrics();
-  report.reliable_sent =
-      metrics_after.reliable_sent - metrics_before.reliable_sent;
-  report.reliable_retries =
-      metrics_after.reliable_retries - metrics_before.reliable_retries;
+  report.metrics = net_->TotalMetrics().Since(metrics_before);
 
   const sim::SimTime measure_from = start + config_.warmup;
   // Delivery is at-least-once: churn repair replays the publish log, so a

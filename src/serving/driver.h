@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/metrics.h"
 #include "serving/arrival.h"
 #include "serving/latency.h"
 #include "sim/net_stats.h"
@@ -88,15 +89,14 @@ struct ServingReport {
   uint64_t events_run = 0;
   std::vector<QueueSample> samples;
   sim::NetStats traffic;          // Open-loop phase only.
-  uint64_t reliable_sent = 0;
-  uint64_t reliable_retries = 0;
+  core::NodeMetrics metrics;      // Open-loop phase only, all nodes.
 
   /// Retries per reliably-sent message (0 when reliability is off).
   double RetryAmplification() const {
-    return reliable_sent == 0
+    return metrics.reliable_sent == 0
                ? 0.0
-               : static_cast<double>(reliable_retries) /
-                     static_cast<double>(reliable_sent);
+               : static_cast<double>(metrics.reliable_retries) /
+                     static_cast<double>(metrics.reliable_sent);
   }
 };
 

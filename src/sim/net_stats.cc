@@ -29,68 +29,21 @@ const char* MsgClassName(MsgClass c) {
 }
 
 void NetStats::Reset() {
-  for (size_t i = 0; i < kNumClasses; ++i) {
-    per_class_[i].store(0, std::memory_order_relaxed);
-    dropped_per_class_[i].store(0, std::memory_order_relaxed);
-    bytes_per_class_[i].store(0, std::memory_order_relaxed);
-  }
-  total_hops_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  total_bytes_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
-  deferred_.store(0, std::memory_order_relaxed);
-  adapt_directives_.store(0, std::memory_order_relaxed);
-  adapt_redirects_.store(0, std::memory_order_relaxed);
-  adapt_reshipped_.store(0, std::memory_order_relaxed);
+  for (size_t i = 0; i < kSlots; ++i) Store(i, 0);
 }
 
 NetStats NetStats::Since(const NetStats& earlier) const {
   NetStats out;
-  for (size_t i = 0; i < kNumClasses; ++i) {
-    out.per_class_[i].store(
-        per_class_[i].load(std::memory_order_relaxed) -
-            earlier.per_class_[i].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    out.dropped_per_class_[i].store(
-        dropped_per_class_[i].load(std::memory_order_relaxed) -
-            earlier.dropped_per_class_[i].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    out.bytes_per_class_[i].store(
-        bytes_per_class_[i].load(std::memory_order_relaxed) -
-            earlier.bytes_per_class_[i].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  out.total_hops_.store(
-      total_hops_.load(std::memory_order_relaxed) -
-          earlier.total_hops_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  out.dropped_.store(dropped_.load(std::memory_order_relaxed) -
-                         earlier.dropped_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  out.total_bytes_.store(
-      total_bytes_.load(std::memory_order_relaxed) -
-          earlier.total_bytes_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  out.shed_.store(shed_.load(std::memory_order_relaxed) -
-                      earlier.shed_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  out.deferred_.store(
-      deferred_.load(std::memory_order_relaxed) -
-          earlier.deferred_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  out.adapt_directives_.store(
-      adapt_directives_.load(std::memory_order_relaxed) -
-          earlier.adapt_directives_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  out.adapt_redirects_.store(
-      adapt_redirects_.load(std::memory_order_relaxed) -
-          earlier.adapt_redirects_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  out.adapt_reshipped_.store(
-      adapt_reshipped_.load(std::memory_order_relaxed) -
-          earlier.adapt_reshipped_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  for (size_t i = 0; i < kSlots; ++i) out.Store(i, Load(i) - earlier.Load(i));
   return out;
+}
+
+uint64_t NetStats::Sum(PerClass kind) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < kNumClasses; ++i) {
+    total += Load(Slot(kind, static_cast<MsgClass>(i)));
+  }
+  return total;
 }
 
 std::string NetStats::Report() const {
@@ -109,16 +62,6 @@ std::string NetStats::Report() const {
   // keeping legacy reports (and their golden digests) byte-identical.
   if (shed() > 0) out << "  backpressure shed: " << shed() << "\n";
   if (deferred() > 0) out << "  backpressure deferred: " << deferred() << "\n";
-  // Likewise, adaptive-manager lines only appear when it acted.
-  if (adapt_directives() > 0) {
-    out << "  adapt directives: " << adapt_directives() << "\n";
-  }
-  if (adapt_redirects() > 0) {
-    out << "  adapt redirects: " << adapt_redirects() << "\n";
-  }
-  if (adapt_reshipped() > 0) {
-    out << "  adapt re-shipped: " << adapt_reshipped() << "\n";
-  }
   return out.str();
 }
 

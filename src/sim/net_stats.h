@@ -4,7 +4,9 @@
 #ifndef CONTJOIN_SIM_NET_STATS_H_
 #define CONTJOIN_SIM_NET_STATS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,92 +31,41 @@ enum class MsgClass : int {
 const char* MsgClassName(MsgClass c);
 
 /// Flat counters; cheap to snapshot and diff, which is how the benchmarks
-/// measure the traffic of a workload phase. Increments are relaxed atomics
-/// so concurrently executing event shards can account hops without locks:
-/// the totals are exact because relaxed add is still atomic, and snapshots
-/// are only taken at serial quiescent points between simulator epochs.
+/// measure the traffic of a workload phase. Every counter is one slot of a
+/// single array: (hops, drops, bytes) per MsgClass, then shed and deferred,
+/// so copying, resetting and differencing are one loop each and the totals
+/// are sums over classes. Increments are relaxed atomics so concurrently
+/// executing event shards can account hops without locks: the totals are
+/// exact because relaxed add is still atomic, and snapshots are only taken
+/// at serial quiescent points between simulator epochs.
 class NetStats {
  public:
   NetStats() = default;
-  NetStats(const NetStats& other) { CopyFrom(other); }
+  NetStats(const NetStats& other) { *this = other; }
   NetStats& operator=(const NetStats& other) {
-    if (this != &other) CopyFrom(other);
+    for (size_t i = 0; i < kSlots; ++i) Store(i, other.Load(i));
     return *this;
   }
 
-  void AddHop(MsgClass c) {
-    per_class_[static_cast<size_t>(c)].fetch_add(1,
-                                                 std::memory_order_relaxed);
-    total_hops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddHops(MsgClass c, uint64_t n) {
-    per_class_[static_cast<size_t>(c)].fetch_add(n,
-                                                 std::memory_order_relaxed);
-    total_hops_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddDrop(MsgClass c) {
-    dropped_per_class_[static_cast<size_t>(c)].fetch_add(
-        1, std::memory_order_relaxed);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void AddHop(MsgClass c) { Add(Slot(kHops, c), 1); }
+  void AddDrop(MsgClass c) { Add(Slot(kDrops, c), 1); }
   /// Bytes-on-wire for one encoded frame. Only accounted when the engine
   /// installs a frame sizer (wire-format encoding has a real cost, so the
   /// meter is opt-in); zero otherwise.
-  void AddBytes(MsgClass c, uint64_t n) {
-    bytes_per_class_[static_cast<size_t>(c)].fetch_add(
-        n, std::memory_order_relaxed);
-    total_bytes_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void AddBytes(MsgClass c, uint64_t n) { Add(Slot(kBytes, c), n); }
   /// Backpressure accounting (serving extension): a delivery refused
   /// outright at the high-water mark, or pushed to a later epoch.
-  void AddShed() { shed_.fetch_add(1, std::memory_order_relaxed); }
-  void AddDeferred() { deferred_.fetch_add(1, std::memory_order_relaxed); }
-  /// Adaptive load manager accounting: directives decided, arrivals
-  /// redirected away from dead keys, state batches re-shipped.
-  void AddAdaptDirective() {
-    adapt_directives_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddAdaptRedirect() {
-    adapt_redirects_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddAdaptReship() {
-    adapt_reshipped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void AddShed() { Add(kShedSlot, 1); }
+  void AddDeferred() { Add(kDeferredSlot, 1); }
 
-  uint64_t hops(MsgClass c) const {
-    return per_class_[static_cast<size_t>(c)].load(
-        std::memory_order_relaxed);
-  }
-  uint64_t total_hops() const {
-    return total_hops_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped(MsgClass c) const {
-    return dropped_per_class_[static_cast<size_t>(c)].load(
-        std::memory_order_relaxed);
-  }
-  uint64_t bytes(MsgClass c) const {
-    return bytes_per_class_[static_cast<size_t>(c)].load(
-        std::memory_order_relaxed);
-  }
-  uint64_t total_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
-  uint64_t deferred() const {
-    return deferred_.load(std::memory_order_relaxed);
-  }
-  uint64_t adapt_directives() const {
-    return adapt_directives_.load(std::memory_order_relaxed);
-  }
-  uint64_t adapt_redirects() const {
-    return adapt_redirects_.load(std::memory_order_relaxed);
-  }
-  uint64_t adapt_reshipped() const {
-    return adapt_reshipped_.load(std::memory_order_relaxed);
-  }
+  uint64_t hops(MsgClass c) const { return Load(Slot(kHops, c)); }
+  uint64_t total_hops() const { return Sum(kHops); }
+  uint64_t dropped() const { return Sum(kDrops); }
+  uint64_t dropped(MsgClass c) const { return Load(Slot(kDrops, c)); }
+  uint64_t bytes(MsgClass c) const { return Load(Slot(kBytes, c)); }
+  uint64_t total_bytes() const { return Sum(kBytes); }
+  uint64_t shed() const { return Load(kShedSlot); }
+  uint64_t deferred() const { return Load(kDeferredSlot); }
 
   void Reset();
 
@@ -127,51 +78,26 @@ class NetStats {
  private:
   static constexpr size_t kNumClasses =
       static_cast<size_t>(MsgClass::kClassCount);
+  enum PerClass : size_t { kHops, kDrops, kBytes, kNumPerClass };
+  static constexpr size_t kShedSlot = kNumPerClass * kNumClasses;
+  static constexpr size_t kDeferredSlot = kShedSlot + 1;
+  static constexpr size_t kSlots = kDeferredSlot + 1;
 
-  void CopyFrom(const NetStats& other) {
-    for (size_t i = 0; i < kNumClasses; ++i) {
-      per_class_[i].store(
-          other.per_class_[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      dropped_per_class_[i].store(
-          other.dropped_per_class_[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      bytes_per_class_[i].store(
-          other.bytes_per_class_[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    total_hops_.store(other.total_hops_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    dropped_.store(other.dropped_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    total_bytes_.store(other.total_bytes_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    shed_.store(other.shed_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    deferred_.store(other.deferred_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    adapt_directives_.store(
-        other.adapt_directives_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    adapt_redirects_.store(
-        other.adapt_redirects_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    adapt_reshipped_.store(
-        other.adapt_reshipped_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+  static size_t Slot(PerClass kind, MsgClass c) {
+    return kind * kNumClasses + static_cast<size_t>(c);
   }
+  uint64_t Load(size_t i) const {
+    return slots_[i].load(std::memory_order_relaxed);
+  }
+  void Store(size_t i, uint64_t v) {
+    slots_[i].store(v, std::memory_order_relaxed);
+  }
+  void Add(size_t i, uint64_t n) {
+    slots_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t Sum(PerClass kind) const;
 
-  std::atomic<uint64_t> per_class_[kNumClasses] = {};
-  std::atomic<uint64_t> dropped_per_class_[kNumClasses] = {};
-  std::atomic<uint64_t> bytes_per_class_[kNumClasses] = {};
-  std::atomic<uint64_t> total_hops_{0};
-  std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> total_bytes_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> deferred_{0};
-  std::atomic<uint64_t> adapt_directives_{0};
-  std::atomic<uint64_t> adapt_redirects_{0};
-  std::atomic<uint64_t> adapt_reshipped_{0};
+  std::array<std::atomic<uint64_t>, kSlots> slots_{};
 };
 
 }  // namespace contjoin::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "core/dispatch.h"
 #include "core/evaluator.h"
 #include "core/messages.h"
+#include "core/metrics.h"
 #include "core/rewriter.h"
 #include "core/state.h"
 #include "relational/schema.h"
@@ -345,6 +347,36 @@ TEST(MessageDispatch, RoutesAndCountsRegisteredTypes) {
   EXPECT_EQ(
       m.received_by_type[static_cast<size_t>(CqMsgType::kTupleAl)], 2u);
   EXPECT_EQ(m.msgs_unhandled, 0u);
+}
+
+// Every NodeMetrics slot goes through the table loops: each row names a
+// distinct field, and folding, differencing and resetting touch each slot.
+TEST(NodeMetricsTable, FoldDiffAndResetCoverEverySlot) {
+  NodeMetrics m;
+  uint64_t next = 1;
+  for (const auto& f : kNodeMetricsFields) m.*f.member = next++;
+  for (uint64_t& n : m.received_by_type) n = next++;
+  std::set<uint64_t> distinct;
+  for (const auto& f : kNodeMetricsFields) distinct.insert(m.*f.member);
+  for (uint64_t n : m.received_by_type) distinct.insert(n);
+  EXPECT_EQ(distinct.size(), kNodeMetricsSlots);
+
+  NodeMetrics sum;
+  sum.Accumulate(m);
+  EXPECT_EQ(sum, m);
+  sum.Accumulate(m);
+  for (const auto& f : kNodeMetricsFields) {
+    EXPECT_EQ(sum.*f.member, 2 * (m.*f.member)) << f.name;
+  }
+  for (size_t i = 0; i < kCqMsgTypeCount; ++i) {
+    EXPECT_EQ(sum.received_by_type[i], 2 * m.received_by_type[i]) << i;
+  }
+  EXPECT_EQ(sum.Since(m), m);
+  EXPECT_EQ(sum.Since(sum), NodeMetrics());
+  EXPECT_NE(sum.Report(), m.Report());
+  EXPECT_EQ(sum.Since(m).Report(), m.Report());
+  sum.Reset();
+  EXPECT_EQ(sum, NodeMetrics());
 }
 
 }  // namespace

@@ -211,18 +211,76 @@ TEST(SimulatorTest, SetWorkersClampsToAtLeastOne) {
 TEST(NetStatsTest, HopAccounting) {
   NetStats stats;
   stats.AddHop(MsgClass::kLookup);
-  stats.AddHops(MsgClass::kTupleIndex, 5);
+  for (int i = 0; i < 5; ++i) stats.AddHop(MsgClass::kTupleIndex);
   EXPECT_EQ(stats.total_hops(), 6u);
   EXPECT_EQ(stats.hops(MsgClass::kLookup), 1u);
   EXPECT_EQ(stats.hops(MsgClass::kTupleIndex), 5u);
   EXPECT_EQ(stats.hops(MsgClass::kNotification), 0u);
 }
 
+// The totals are sums over classes, so they must equal the per-class sums
+// after mixed hops, drops and bytes, and survive Since and copying.
+TEST(NetStatsTest, TotalsAreSumsOverClasses) {
+  auto expect_totals_match = [](const NetStats& s) {
+    uint64_t hops = 0, drops = 0, bytes = 0;
+    for (int i = 0; i < static_cast<int>(MsgClass::kClassCount); ++i) {
+      const MsgClass c = static_cast<MsgClass>(i);
+      hops += s.hops(c);
+      drops += s.dropped(c);
+      bytes += s.bytes(c);
+    }
+    EXPECT_EQ(s.total_hops(), hops);
+    EXPECT_EQ(s.dropped(), drops);
+    EXPECT_EQ(s.total_bytes(), bytes);
+  };
+  NetStats stats;
+  for (int i = 0; i < static_cast<int>(MsgClass::kClassCount); ++i) {
+    const MsgClass c = static_cast<MsgClass>(i);
+    for (int k = 0; k <= i; ++k) stats.AddHop(c);
+    if (i % 2 == 0) stats.AddDrop(c);
+    stats.AddBytes(c, 100 + i);
+  }
+  stats.AddShed();
+  stats.AddDeferred();
+  stats.AddDeferred();
+  expect_totals_match(stats);
+  EXPECT_EQ(stats.total_hops(), 36u);
+  EXPECT_EQ(stats.dropped(), 4u);
+  EXPECT_EQ(stats.total_bytes(), 828u);
+
+  const NetStats snapshot = stats;
+  expect_totals_match(snapshot);
+  EXPECT_EQ(snapshot.Report(), stats.Report());
+  EXPECT_EQ(snapshot.total_bytes(), 828u);
+  EXPECT_EQ(snapshot.deferred(), 2u);
+
+  stats.AddHop(MsgClass::kControl);
+  stats.AddDrop(MsgClass::kLookup);
+  stats.AddBytes(MsgClass::kOneTime, 7);
+  stats.AddShed();
+  const NetStats delta = stats.Since(snapshot);
+  expect_totals_match(delta);
+  EXPECT_EQ(delta.total_hops(), 1u);
+  EXPECT_EQ(delta.hops(MsgClass::kControl), 1u);
+  EXPECT_EQ(delta.dropped(), 1u);
+  EXPECT_EQ(delta.dropped(MsgClass::kLookup), 1u);
+  EXPECT_EQ(delta.total_bytes(), 7u);
+  EXPECT_EQ(delta.bytes(MsgClass::kOneTime), 7u);
+  EXPECT_EQ(delta.shed(), 1u);
+  EXPECT_EQ(delta.deferred(), 0u);
+
+  NetStats assigned;
+  assigned.AddHop(MsgClass::kLookup);
+  assigned = delta;
+  expect_totals_match(assigned);
+  EXPECT_EQ(assigned.Report(), delta.Report());
+}
+
 TEST(NetStatsTest, SinceComputesDelta) {
   NetStats stats;
-  stats.AddHops(MsgClass::kRewrittenQuery, 3);
+  for (int i = 0; i < 3; ++i) stats.AddHop(MsgClass::kRewrittenQuery);
   NetStats snapshot = stats;
-  stats.AddHops(MsgClass::kRewrittenQuery, 4);
+  for (int i = 0; i < 4; ++i) stats.AddHop(MsgClass::kRewrittenQuery);
   stats.AddHop(MsgClass::kNotification);
   NetStats delta = stats.Since(snapshot);
   EXPECT_EQ(delta.hops(MsgClass::kRewrittenQuery), 4u);
@@ -234,10 +292,16 @@ TEST(NetStatsTest, ResetClears) {
   NetStats stats;
   stats.AddHop(MsgClass::kControl);
   stats.AddDrop(MsgClass::kControl);
+  stats.AddBytes(MsgClass::kControl, 9);
+  stats.AddShed();
+  stats.AddDeferred();
   stats.Reset();
   EXPECT_EQ(stats.total_hops(), 0u);
   EXPECT_EQ(stats.dropped(), 0u);
   EXPECT_EQ(stats.dropped(MsgClass::kControl), 0u);
+  EXPECT_EQ(stats.total_bytes(), 0u);
+  EXPECT_EQ(stats.shed(), 0u);
+  EXPECT_EQ(stats.deferred(), 0u);
 }
 
 TEST(NetStatsTest, ReportListsNonZeroClasses) {

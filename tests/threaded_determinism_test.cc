@@ -86,11 +86,8 @@ ScenarioResult RunScenario(int workers) {
   r.digest += net.stats().Report();
   r.digest += BytesDigest(net.stats());
   r.total_bytes = net.stats().total_bytes();
-  const core::NodeMetrics totals = net.TotalMetrics();
-  r.digest += "|sent=" + std::to_string(totals.reliable_sent) +
-              "|retries=" + std::to_string(totals.reliable_retries) +
-              "|acks=" + std::to_string(totals.reliable_acks_sent) +
-              "|dups=" + std::to_string(totals.reliable_dups_suppressed);
+  r.digest += net.TotalMetrics().Report();
+  r.digest += net.TotalStorage().Report();
   return r;
 }
 
@@ -165,9 +162,8 @@ std::string RunOpenLoopScenario(int workers, uint64_t* parallel_batches) {
   digest += report.traffic.Report();
   digest += BytesDigest(report.traffic);
   digest += "|arrivals=" + std::to_string(report.arrivals_scheduled) +
-            "|events=" + std::to_string(report.events_run) +
-            "|sent=" + std::to_string(report.reliable_sent) +
-            "|retries=" + std::to_string(report.reliable_retries) +
+            "|events=" + std::to_string(report.events_run) + "\n" +
+            report.metrics.Report() +
             "|shed=" + std::to_string(report.traffic.shed()) +
             "|deferred=" + std::to_string(report.traffic.deferred());
   return digest;
