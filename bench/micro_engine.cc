@@ -75,16 +75,14 @@ void BM_SubmitQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SubmitQuery);
 
-// One unsubscription with evaluator tracking on. Outside the timed
-// region each iteration submits the query and rewrites it to a few
-// evaluators with inserts; small value domains and a pruned window keep
-// the loaded net's state from growing across iterations.
+// One unsubscription. Outside the timed region each iteration submits
+// the query and rewrites it to a few evaluators with inserts; small value
+// domains and a pruned window keep the loaded net's state from growing
+// across iterations.
 void BM_Unsubscribe(benchmark::State& state) {
   auto alg = static_cast<core::Algorithm>(state.range(0));
-  auto net = MakeLoadedNet(alg, 100, [](core::Options* o) {
-    o->track_evaluators = true;
-    o->window = 64;
-  });
+  auto net = MakeLoadedNet(alg, 100,
+                           [](core::Options* o) { o->window = 64; });
   Rng rng(5);
   int64_t i = 0;
   for (auto _ : state) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <limits>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -476,6 +475,8 @@ bool EncodeMigrateBucket(const CqPayload& payload, wire::Writer& w) {
     if (e.query == nullptr) return false;
     WriteQuery(w, *e.query);
     w.U8(static_cast<uint8_t>(e.index_side));
+    w.U32(static_cast<uint32_t>(e.evaluators.size()));
+    for (const chord::NodeId& id : e.evaluators) w.Id(id);
   }
   w.U64(p.tuples_seen);
   w.U32(static_cast<uint32_t>(p.value_counts.size()));
@@ -484,12 +485,6 @@ bool EncodeMigrateBucket(const CqPayload& payload, wire::Writer& w) {
     w.U64(count);
   }
   w.U64(p.overflow_values);
-  w.U32(static_cast<uint32_t>(p.tracked_evaluators.size()));
-  for (const auto& [query_key, evaluators] : p.tracked_evaluators) {
-    w.Str(query_key);
-    w.U32(static_cast<uint32_t>(evaluators.size()));
-    for (const chord::NodeId& id : evaluators) w.Id(id);
-  }
   return true;
 }
 
@@ -506,7 +501,16 @@ std::shared_ptr<const CqPayload> DecodeMigrateBucket(
     if (query == nullptr) return nullptr;
     const int index_side = r.U8();
     if (index_side > 1) return nullptr;
-    p->queries.emplace_back(std::move(query), index_side);
+    AlqtEntry& entry = p->queries.emplace_back(std::move(query), index_side);
+    uint32_t nids = r.U32();
+    if (!PlausibleCount(r, nids)) return nullptr;
+    for (uint32_t j = 0; j < nids; ++j) {
+      entry.evaluators.push_back(r.Id());
+      // Kept sorted and distinct by the sender; anything else is forged.
+      if (j > 0 && !(entry.evaluators[j - 1] < entry.evaluators[j])) {
+        return nullptr;
+      }
+    }
   }
   p->tuples_seen = r.U64();
   uint32_t ncounts = r.U32();
@@ -516,14 +520,6 @@ std::shared_ptr<const CqPayload> DecodeMigrateBucket(
     p->value_counts[std::move(value)] = r.U64();
   }
   p->overflow_values = r.U64();
-  uint32_t ntracked = r.U32();
-  if (!PlausibleCount(r, ntracked)) return nullptr;
-  for (uint32_t i = 0; i < ntracked; ++i) {
-    std::set<chord::NodeId>& evaluators = p->tracked_evaluators[r.Str()];
-    uint32_t nids = r.U32();
-    if (!PlausibleCount(r, nids)) return nullptr;
-    for (uint32_t j = 0; j < nids; ++j) evaluators.insert(r.Id());
-  }
   return r.ok() ? p : nullptr;
 }
 

@@ -249,9 +249,6 @@ size_t ContinuousQueryNetwork::ReconcilePlacement() {
       auto bucket = state.rewriter.alqt.TakeLevel1(mkey);
       size_t objects = 0;
       for (const auto& [signature, group] : bucket) objects += group.size();
-      rewriter::AbsorbTrackedEvaluators(
-          StateOf(*home).rewriter,
-          rewriter::TakeTrackedEvaluators(state.rewriter, bucket));
       StateOf(*home).rewriter.alqt.AbsorbLevel1(mkey, std::move(bucket));
       auto stats = state.rewriter.attr_stats.find(mkey);
       if (stats != state.rewriter.attr_stats.end()) {

@@ -124,10 +124,12 @@ class ContinuousQueryNetwork : public chord::Application,
   /// Cancels a continuous query (extension): every rewriter that may hold
   /// it drops it from its ALQT bucket. SAI, DAI-T and DAI-V evaluators
   /// keep rewritten queries or projections, and so does any evaluator
-  /// under options.adapt; there the rewriters also tell the evaluators
-  /// they reached, which requires options.track_evaluators. DAI-Q
-  /// evaluators store tuples only (§4.4.2), so a DAI-Q cancellation never
-  /// goes past the rewriters.
+  /// under options.adapt; there each ALQT entry records the evaluators
+  /// its rewrites reached, carries them along when its bucket moves, and
+  /// the rewriter tells them too. DAI-Q evaluators store tuples only
+  /// (§4.4.2), so a DAI-Q cancellation never goes past the rewriters.
+  /// With options.reliability on, every removal message is retried until
+  /// acknowledged.
   Status Unsubscribe(size_t node_index, const std::string& query_key);
 
   /// §4.7 "moving an identifier": moves the rewriter role of one

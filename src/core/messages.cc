@@ -1,5 +1,6 @@
 #include "core/messages.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/uint160.h"
@@ -23,6 +24,11 @@ AlqtEntry::AlqtEntry(query::QueryPtr q, int side)
   const std::string& attr =
       remaining.schema->attribute(remaining.linear->ref.attr_index).name;
   remaining_level1 = AttrKey(remaining.relation, attr);
+}
+
+void AlqtEntry::AddEvaluator(const chord::NodeId& id) {
+  auto it = std::lower_bound(evaluators.begin(), evaluators.end(), id);
+  if (it == evaluators.end() || *it != id) evaluators.insert(it, id);
 }
 
 std::string AttrKey(const std::string& relation, const std::string& attr) {

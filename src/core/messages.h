@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -271,16 +270,19 @@ struct AlqtEntry {
   /// the level-1 key rewritten queries are reindexed under, derived once
   /// per stored query rather than on every rewrite.
   std::string remaining_level1;
+  /// Identifiers of the evaluators this entry's rewrites reached, sorted
+  /// and distinct, recorded only where evaluators hold query state
+  /// (EvaluatorsHoldQueryState): an unsubscription clears them too. They
+  /// travel with the entry when its bucket moves.
+  std::vector<chord::NodeId> evaluators;
+
+  /// Adds `id` to `evaluators`, keeping it sorted and distinct.
+  void AddEvaluator(const chord::NodeId& id);
 };
 
-/// Query key -> the evaluator ids its rewrites reached, as a rewriter
-/// tracks them for unsubscription fan-out.
-using TrackedEvaluators = std::map<std::string, std::set<chord::NodeId>>;
-
 /// §4.7 bucket transfer: the attribute-level role of one "R+A#<replica>"
-/// key — its stored queries, their tracked evaluators and its arrival
-/// statistics — handed from the old holder to the successor of the key's
-/// next-generation identifier.
+/// key — its stored queries and its arrival statistics — handed from the
+/// old holder to the successor of the key's next-generation identifier.
 struct MigrateBucketPayload : CqPayload {
   MigrateBucketPayload() : CqPayload(CqMsgType::kMigrateBucket) {}
   std::string mkey;
@@ -290,8 +292,6 @@ struct MigrateBucketPayload : CqPayload {
   uint64_t tuples_seen = 0;
   std::map<std::string, uint64_t> value_counts;
   uint64_t overflow_values = 0;
-  /// Evaluators the sender tracked for the moved queries.
-  TrackedEvaluators tracked_evaluators;
 };
 
 /// §4.7: points a moved key's base node at the node now holding the role,

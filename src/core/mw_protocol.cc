@@ -65,9 +65,8 @@ void MwQueuePartial(MwPartial p, MwJoinMap* out) {
 }
 
 /// Starts a fresh partial from a root-relation tuple (at the rewriter).
-void MwTrigger(chord::Node& node, NodeState& state,
-               const query::MwQueryPtr& q, const rel::Tuple& tuple,
-               MwJoinMap* out) {
+void MwTrigger(NodeState& state, const query::MwQueryPtr& q,
+               const rel::Tuple& tuple, MwJoinMap* out) {
   int side = q->SideOfRelation(tuple.relation());
   CJ_CHECK(side >= 0);
   if (tuple.pub_time() < q->insertion_time()) return;
@@ -167,7 +166,7 @@ void TriggerAll(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   state.metrics.filter_ops_attr += mw_it->second.size();
   MwJoinMap mw_joins;
   for (const query::MwQueryPtr& q : mw_it->second) {
-    MwTrigger(node, state, q, tuple, &mw_joins);
+    MwTrigger(state, q, tuple, &mw_joins);
   }
   if (!mw_joins.empty()) DispatchMwJoins(ctx, node, std::move(mw_joins));
 }

@@ -95,11 +95,11 @@ struct Options {
   /// (§4.5: better balance, ~250x the traffic — reproduced in Table 4.1).
   bool daiv_prefix_query_key = false;
 
-  /// Track, at rewriters, the evaluators each query has been rewritten to,
-  /// so that unsubscription also clears the query at the evaluators
-  /// (extension beyond the paper). It applies wherever evaluators hold
-  /// query state: SAI, DAI-T, DAI-V, and any algorithm under adapt. DAI-Q
-  /// evaluators hold none (§4.4.2), so there it tracks and sends nothing.
+  /// Ignored. Rewriters always record the evaluators an ALQT entry's
+  /// rewrites reach wherever evaluators hold query state, so every
+  /// unsubscription clears them. Still declared only because the
+  /// benchmark driver (perfbench/src/workloads.cc) sets it; it goes away
+  /// together with that assignment.
   bool track_evaluators = false;
 
   /// Virtual-time increment applied before each submit/insert so that

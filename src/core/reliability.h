@@ -59,12 +59,12 @@ struct State {
   std::deque<std::pair<sim::SimTime, uint64_t>> seen_by_time;
 };
 
-/// True for the message types whose loss costs answers: query indexing,
+/// True for the message types whose loss changes answers: query indexing,
 /// al-/vl-tuple indexing, rewritten-query reindex, DAI-V projections,
-/// notification delivery, split directives and the §4.7 bucket transfer
-/// and moved-pointer update. Control chatter (acks, JFRT hints, IP
-/// updates) stays best-effort — losing it costs performance, never
-/// answers.
+/// notification delivery, split directives, the §4.7 bucket transfer and
+/// moved-pointer update, and unsubscription (a lost one leaves a cancelled
+/// query answering). Control chatter (acks, JFRT hints, IP updates) stays
+/// best-effort — losing it costs performance, never answers.
 bool IsCritical(CqMsgType type);
 
 /// Stamps `msg` with a fresh reliable id, records it in the origin's

@@ -1,5 +1,6 @@
 #include "core/rewriter.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -64,36 +65,7 @@ bool IsAlive(ProtocolContext& ctx, const chord::NodeId& id) {
   return peer != nullptr && peer->alive();
 }
 
-/// Rewrites record their evaluators only where an unsubscription has
-/// something to clear there.
-bool TracksEvaluators(const ProtocolContext& ctx) {
-  return ctx.options().track_evaluators &&
-         EvaluatorsHoldQueryState(ctx.options());
-}
-
 }  // namespace
-
-TrackedEvaluators TakeTrackedEvaluators(
-    State& state, const AttrLevelQueryTable::GroupMap& groups) {
-  TrackedEvaluators taken;
-  if (state.query_evaluators.empty()) return taken;
-  for (const auto& [signature, group] : groups) {
-    for (const AlqtEntry& entry : group) {
-      auto tracked = state.query_evaluators.find(entry.query->key());
-      if (tracked == state.query_evaluators.end()) continue;
-      taken.emplace(tracked->first, std::move(tracked->second));
-      state.query_evaluators.erase(tracked);
-    }
-  }
-  return taken;
-}
-
-void AbsorbTrackedEvaluators(State& state, const TrackedEvaluators& tracked) {
-  for (const auto& [query_key, evaluators] : tracked) {
-    state.query_evaluators[query_key].insert(evaluators.begin(),
-                                             evaluators.end());
-  }
-}
 
 bool ForwardIfMoved(ProtocolContext& ctx, chord::Node& node, State& state,
                     const std::string& mkey, const chord::AppMessage& msg) {
@@ -138,7 +110,7 @@ struct PendingDaivJoin {
 /// Rewrites the T1 query of `entry` triggered by `tuple` into a
 /// select-project query reindexed at the value level (§4.3.2/§4.3.3).
 void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
-               const AlqtEntry& entry, const rel::Tuple& tuple,
+               AlqtEntry& entry, const rel::Tuple& tuple,
                std::map<std::string, PendingJoin>* out) {
   const query::ContinuousQuery& q = *entry.query;
   const int s = entry.index_side;
@@ -212,8 +184,8 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->known_split = shards;
       pending.payload->split_version = split_version;
     }
-    if (TracksEvaluators(ctx)) {
-      state.rewriter.query_evaluators[q.key()].insert(pending.vindex);
+    if (EvaluatorsHoldQueryState(ctx.options())) {
+      entry.AddEvaluator(pending.vindex);
     }
     if (shard + 1 == shards) {
       // The last shard takes the entry itself; earlier ones copy it.
@@ -228,7 +200,7 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
 /// DAI-V rewrite (§4.5): the trigger tuple's projection travels with the
 /// rewritten query to Hash(value) (or Hash(Key(q)+value)).
 void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
-                 const AlqtEntry& entry, const rel::Tuple& tuple,
+                 AlqtEntry& entry, const rel::Tuple& tuple,
                  std::map<std::string, PendingDaivJoin>* out) {
   const query::ContinuousQuery& q = *entry.query;
   const int s = entry.index_side;
@@ -285,8 +257,8 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->split_version = split_version;
     }
     pending.payload->entries.push_back(daiv_entry);
-    if (TracksEvaluators(ctx)) {
-      state.rewriter.query_evaluators[q.key()].insert(pending.vindex);
+    if (EvaluatorsHoldQueryState(ctx.options())) {
+      entry.AddEvaluator(pending.vindex);
     }
   }
   ++state.metrics.rewrites_sent;
@@ -350,15 +322,15 @@ void HandleTupleAl(ProtocolContext& ctx, chord::Node& node,
   // Multi-way queries indexed under this key (extension).
   mw::TriggerAll(ctx, node, state, mkey, tuple);
 
-  const AttrLevelQueryTable::GroupMap* groups = state.rewriter.alqt.Find(mkey);
+  AttrLevelQueryTable::GroupMap* groups = state.rewriter.alqt.Find(mkey);
   if (groups == nullptr) return;
 
   const AlgorithmStrategy& strategy = ctx.strategy();
   std::map<std::string, PendingJoin> t1_joins;
   std::map<std::string, PendingDaivJoin> daiv_joins;
-  for (const auto& [signature, group] : *groups) {
+  for (auto& [signature, group] : *groups) {
     state.metrics.filter_ops_attr += group.size();
-    for (const AlqtEntry& entry : group) {
+    for (AlqtEntry& entry : group) {
       const query::ContinuousQuery& q = *entry.query;
       // Time semantics: only tuples published at/after insT(q) trigger it.
       if (tuple.pub_time() < q.insertion_time()) continue;
@@ -388,14 +360,20 @@ void HandleUnsubscribe(ProtocolContext& ctx, chord::Node& node,
   }
   const std::string mkey = MKey(p.level1, p.replica);
   if (ForwardIfMoved(ctx, node, state.rewriter, mkey, msg)) return;
-  state.rewriter.alqt.RemoveQuery(mkey, p.query_key);
-  // Evaluators are told only where they hold something of the query; a
-  // DAI-Q query is gone once its rewriters drop it.
-  if (!TracksEvaluators(ctx)) return;
-  auto tracked = state.rewriter.query_evaluators.find(p.query_key);
-  if (tracked == state.rewriter.query_evaluators.end()) return;
+  // The removed entries name the evaluators that hold something of the
+  // query; a DAI-Q entry names none, so a DAI-Q query is gone once its
+  // rewriters drop it.
+  std::vector<chord::NodeId> evaluators;
+  for (const AlqtEntry& entry :
+       state.rewriter.alqt.RemoveQuery(mkey, p.query_key)) {
+    evaluators.insert(evaluators.end(), entry.evaluators.begin(),
+                      entry.evaluators.end());
+  }
+  std::sort(evaluators.begin(), evaluators.end());
+  evaluators.erase(std::unique(evaluators.begin(), evaluators.end()),
+                   evaluators.end());
   std::vector<chord::AppMessage> batch;
-  for (const chord::NodeId& vindex : tracked->second) {
+  for (const chord::NodeId& vindex : evaluators) {
     auto payload = std::make_shared<UnsubscribePayload>();
     payload->query_key = p.query_key;
     payload->at_evaluator = true;
@@ -405,7 +383,7 @@ void HandleUnsubscribe(ProtocolContext& ctx, chord::Node& node,
     out.payload = std::move(payload);
     batch.push_back(std::move(out));
   }
-  state.rewriter.query_evaluators.erase(tracked);
+  reliability::ArmAll(ctx, node, batch);
   if (!batch.empty()) {
     ctx.Multisend(node, std::move(batch), sim::MsgClass::kControl);
   }
@@ -442,14 +420,12 @@ void MoveBucket(ProtocolContext& ctx, chord::Node& node, State& state,
     return;
   }
 
-  // Move the bucket, its tracked evaluators and its statistics (one
-  // control transfer).
+  // Move the bucket, whose entries carry their evaluators, and its
+  // statistics (one control transfer).
   auto bucket = std::make_shared<MigrateBucketPayload>();
   bucket->mkey = mkey;
   bucket->generation = next_gen;
-  AttrLevelQueryTable::GroupMap groups = state.alqt.TakeLevel1(mkey);
-  bucket->tracked_evaluators = TakeTrackedEvaluators(state, groups);
-  for (auto& [signature, group] : groups) {
+  for (auto& [signature, group] : state.alqt.TakeLevel1(mkey)) {
     for (AlqtEntry& entry : group) bucket->queries.push_back(std::move(entry));
   }
   auto stats = state.attr_stats.find(mkey);
@@ -509,7 +485,6 @@ void HandleMigrateBucket(ProtocolContext& ctx, chord::Node& node,
   stats.value_counts = p.value_counts;
   stats.overflow_values = p.overflow_values;
   state.attr_stats[p.mkey].Merge(stats);
-  AbsorbTrackedEvaluators(state, p.tracked_evaluators);
   state.held_generation[p.mkey] = p.generation;
 }
 

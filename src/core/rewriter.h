@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -67,22 +66,11 @@ struct State {
   };
   std::unordered_map<std::string, MovedAttr> moved_attrs;
   std::unordered_map<std::string, int> held_generation;
-  /// query key -> evaluator identifiers used (for unsubscription). Filled
-  /// only where evaluators hold query state (EvaluatorsHoldQueryState).
-  std::unordered_map<std::string, std::set<chord::NodeId>> query_evaluators;
 };
 
 /// Attribute-level bucket key: "R+A#<replica>". One node can hold buckets
 /// for several (key, replica) pairs, especially after identifier moves.
 std::string MKey(const std::string& level1, int replica);
-
-/// Removes and returns the tracked evaluators of the queries in `groups`,
-/// a bucket leaving this node (§4.7 move, churn handoff), so that the
-/// bucket's new holder can still fan an unsubscription out to them.
-TrackedEvaluators TakeTrackedEvaluators(
-    State& state, const AttrLevelQueryTable::GroupMap& groups);
-/// Merges evaluators tracked by a bucket's previous holder.
-void AbsorbTrackedEvaluators(State& state, const TrackedEvaluators& tracked);
 
 /// Forwards an attribute-level message when its key has moved (§4.7);
 /// returns true if forwarded.

@@ -413,6 +413,7 @@ Status ContinuousQueryNetwork::Unsubscribe(size_t node_index,
       batch.push_back(std::move(msg));
     }
   }
+  reliability::ArmAll(*this, *origin, batch);
   origin->Multisend(std::move(batch), sim::MsgClass::kControl);
   simulator_.Run();
   submitted_.erase(it);

@@ -8,34 +8,39 @@ void AttrLevelQueryTable::Insert(const std::string& level1,
                                  const std::string& signature,
                                  AlqtEntry entry) {
   Group& group = map_[level1][signature];
-  for (const AlqtEntry& existing : group) {
+  for (AlqtEntry& existing : group) {
     if (existing.query->key() == entry.query->key() &&
         existing.index_side == entry.index_side) {
-      return;  // Retried or replayed indexing: already stored.
+      // Retried or replayed indexing, or a bucket handed back: already
+      // stored, but the other copy may have reached other evaluators.
+      for (const chord::NodeId& id : entry.evaluators) {
+        existing.AddEvaluator(id);
+      }
+      return;
     }
   }
   group.push_back(std::move(entry));
   ++size_;
 }
 
-const AttrLevelQueryTable::GroupMap* AttrLevelQueryTable::Find(
-    const std::string& level1) const {
+AttrLevelQueryTable::GroupMap* AttrLevelQueryTable::Find(
+    const std::string& level1) {
   auto it = map_.find(level1);
   return it == map_.end() ? nullptr : &it->second;
 }
 
-size_t AttrLevelQueryTable::RemoveQuery(const std::string& level1,
-                                        const std::string& query_key) {
+AttrLevelQueryTable::Group AttrLevelQueryTable::RemoveQuery(
+    const std::string& level1, const std::string& query_key) {
+  Group removed;
   auto l1 = map_.find(level1);
-  if (l1 == map_.end()) return 0;
+  if (l1 == map_.end()) return removed;
   GroupMap& groups = l1->second;
-  size_t removed = 0;
   for (auto l2 = groups.begin(); l2 != groups.end();) {
     Group& group = l2->second;
     for (auto it = group.begin(); it != group.end();) {
       if (it->query->key() == query_key) {
+        removed.push_back(std::move(*it));
         it = group.erase(it);
-        ++removed;
       } else {
         ++it;
       }
@@ -43,7 +48,7 @@ size_t AttrLevelQueryTable::RemoveQuery(const std::string& level1,
     l2 = group.empty() ? groups.erase(l2) : std::next(l2);
   }
   if (groups.empty()) map_.erase(l1);
-  size_ -= removed;
+  size_ -= removed.size();
   return removed;
 }
 

@@ -37,23 +37,26 @@ class AttrLevelQueryTable {
 
   /// Inserts unless an entry with the same (query key, index side) already
   /// sits in the group — re-indexing after a retry or a soft-state refresh
-  /// is therefore idempotent.
+  /// is therefore idempotent. A duplicate's evaluators are merged into the
+  /// stored entry.
   void Insert(const std::string& level1, const std::string& signature,
               AlqtEntry entry);
 
   /// Groups triggered by a tuple indexed under `level1`; nullptr if none.
-  const GroupMap* Find(const std::string& level1) const;
+  /// Mutable so that rewrites can record their evaluators on the entries.
+  GroupMap* Find(const std::string& level1);
 
-  /// Removes the entries of `query_key` from the `level1` bucket alone;
-  /// returns the number removed.
-  size_t RemoveQuery(const std::string& level1, const std::string& query_key);
+  /// Removes the entries of `query_key` from the `level1` bucket alone and
+  /// returns them.
+  Group RemoveQuery(const std::string& level1, const std::string& query_key);
 
   /// Extracts and returns an entire level-1 bucket (used when an
   /// attribute-level identifier is moved to another node, §4.7).
   GroupMap TakeLevel1(const std::string& level1);
 
   /// Merges a handed-off level-1 bucket (key-range handoff during churn
-  /// repair); duplicates collapse via the Insert dedup rule.
+  /// repair); duplicates collapse via the Insert dedup rule, evaluators
+  /// merged.
   void AbsorbLevel1(const std::string& level1, GroupMap groups);
 
   /// Level-1 keys in sorted order (deterministic handoff sweeps).

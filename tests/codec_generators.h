@@ -1,6 +1,6 @@
 // Seeded random payload fields for the codec tests: strings (empty ones
 // included), values of every type with extreme integers, identifiers with
-// the zero and maximum sentinels, tracked evaluator sets, select rows with
+// the zero and maximum sentinels, evaluator id lists, select rows with
 // unbound positions, tuples and parsed queries over a small catalog.
 
 #ifndef CONTJOIN_TESTS_CODEC_GENERATORS_H_
@@ -91,16 +91,13 @@ class CodecGenerators {
     }
   }
 
-  /// Query key -> evaluator ids, as a migrated bucket carries them.
-  static TrackedEvaluators RandomTrackedEvaluators(Rng& rng) {
-    TrackedEvaluators tracked;
-    for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
-      std::set<Uint160>& ids = tracked[RandomString(rng)];
-      for (size_t j = 0, m = rng.NextBelow(4); j < m; ++j) {
-        ids.insert(RandomId(rng));
-      }
+  /// A sorted, distinct evaluator id list, as an ALQT entry keeps it.
+  static std::vector<Uint160> RandomEvaluators(Rng& rng) {
+    std::set<Uint160> ids;
+    for (size_t j = 0, m = rng.NextBelow(4); j < m; ++j) {
+      ids.insert(RandomId(rng));
     }
-    return tracked;
+    return {ids.begin(), ids.end()};
   }
 
   static RowTemplate RandomRow(Rng& rng) {

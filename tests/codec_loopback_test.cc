@@ -246,7 +246,9 @@ TEST_P(CodecLoopbackTest, EveryHopCrossesTheCodecAndStaysExact) {
   };
   EXPECT_GE(received(CqMsgType::kMigrateBucket), 2u);
   EXPECT_GE(received(CqMsgType::kMovedPointer), 1u);
-  if (stores_tuples) EXPECT_GE(received(CqMsgType::kOtjResult), 1u);
+  if (stores_tuples) {
+    EXPECT_GE(received(CqMsgType::kOtjResult), 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CodecLoopbackTest,

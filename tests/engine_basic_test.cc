@@ -270,7 +270,7 @@ TEST_P(EngineBasicTest, StorageAccounting) {
 }
 
 TEST_P(EngineBasicTest, UnsubscribeStopsNotifications) {
-  auto net = MakeNet(32, [](Options* o) { o->track_evaluators = true; });
+  auto net = MakeNet();
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(net->InsertTuple(1, "R",

@@ -148,7 +148,7 @@ TEST_P(MigrationTest, WorksWithReplication) {
 }
 
 TEST_P(MigrationTest, UnsubscribeFollowsTheMove) {
-  auto net = MakeNet([](Options* o) { o->track_evaluators = true; });
+  auto net = MakeNet();
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(net->MigrateAttribute(1, "R", "B").ok());
@@ -163,7 +163,7 @@ TEST_P(MigrationTest, UnsubscribeFollowsTheMove) {
 // The evaluators a query was rewritten to before a move travel with its
 // bucket, so the new holder still clears them on unsubscription.
 TEST_P(MigrationTest, UnsubscribeAfterMoveClearsEvaluatorState) {
-  auto net = MakeNet([](Options* o) { o->track_evaluators = true; });
+  auto net = MakeNet();
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(net->InsertTuple(2, "R", {Value::Int(1), Value::Int(7)}).ok());

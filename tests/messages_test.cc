@@ -472,15 +472,15 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
       p.mkey = RandomString(rng);
       p.generation = 1 + static_cast<int>(rng.NextBelow(8));
       for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
-        p.queries.push_back(AlqtEntry{RandomQuery(rng),
-                                      static_cast<int>(rng.NextBelow(2))});
+        AlqtEntry& entry = p.queries.emplace_back(
+            RandomQuery(rng), static_cast<int>(rng.NextBelow(2)));
+        entry.evaluators = RandomEvaluators(rng);
       }
       p.tuples_seen = rng.Next();
       for (size_t i = 0, n = rng.NextBelow(4); i < n; ++i) {
         p.value_counts[RandomString(rng)] = rng.Next();
       }
       p.overflow_values = rng.Next();
-      p.tracked_evaluators = RandomTrackedEvaluators(rng);
       ExpectRoundTrip(p);
     }
     {
@@ -546,36 +546,49 @@ TEST_F(CodecRoundTripTest, OutOfRangeSidesAreRefused) {
   EXPECT_FALSE(refused(bucket));
 }
 
-// A moved bucket's tracked evaluators decode to the same map, including
-// a query tracked with no evaluator and the sentinel identifiers.
-TEST_F(CodecRoundTripTest, MigrateBucketCarriesTrackedEvaluators) {
+// Each moved ALQT entry decodes with its own evaluator ids, including an
+// entry with none and the sentinel identifiers.
+TEST_F(CodecRoundTripTest, MigrateBucketCarriesEntryEvaluators) {
   Rng rng(97);
   MigrateBucketPayload bucket;
   bucket.mkey = "R+B#0";
   bucket.queries.emplace_back(RandomQuery(rng), 0);
-  bucket.tracked_evaluators["q#1"] = {Uint160(), Uint160::Max(),
-                                      HashKey("S+E+7")};
-  bucket.tracked_evaluators["q#2"] = {};
+  bucket.queries[0].evaluators = {Uint160(), HashKey("S+E+7"),
+                                  Uint160::Max()};
+  std::sort(bucket.queries[0].evaluators.begin(),
+            bucket.queries[0].evaluators.end());
+  bucket.queries.emplace_back(RandomQuery(rng), 1);
+  auto decode = [&](const std::vector<uint8_t>& bytes) {
+    wire::Reader r(bytes);
+    return std::dynamic_pointer_cast<const MigrateBucketPayload>(
+        PayloadCodec::Default().Decode(r, catalog_));
+  };
   wire::Writer w;
   ASSERT_TRUE(PayloadCodec::Default().Encode(bucket, w));
-  wire::Reader r(w.bytes());
-  auto decoded = std::dynamic_pointer_cast<const MigrateBucketPayload>(
-      PayloadCodec::Default().Decode(r, catalog_));
+  auto decoded = decode(w.bytes());
   ASSERT_NE(decoded, nullptr);
-  EXPECT_EQ(decoded->tracked_evaluators, bucket.tracked_evaluators);
+  ASSERT_EQ(decoded->queries.size(), 2u);
+  EXPECT_EQ(decoded->queries[0].evaluators, bucket.queries[0].evaluators);
+  EXPECT_TRUE(decoded->queries[1].evaluators.empty());
 
-  // A tracked-query count larger than the rest of the frame is refused.
-  // The count is the last field of a frame that tracks nothing.
-  MigrateBucketPayload untracked = bucket;
-  untracked.tracked_evaluators.clear();
-  wire::Writer prefix;
-  ASSERT_TRUE(PayloadCodec::Default().Encode(untracked, prefix));
+  // An id count larger than the rest of the frame is refused. The last
+  // entry's count sits before tuples_seen (8 bytes), the empty
+  // value_counts' count (4) and overflow_values (8).
   std::vector<uint8_t> bytes = w.bytes();
-  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(
-                                  prefix.bytes().size() - 4),
-              4, uint8_t{0xff});
-  wire::Reader forged(bytes);
-  EXPECT_EQ(PayloadCodec::Default().Decode(forged, catalog_), nullptr);
+  std::fill_n(bytes.end() - (4 + 8 + 4 + 8), 4, uint8_t{0xff});
+  EXPECT_EQ(decode(bytes), nullptr);
+
+  // Ids out of order or repeated are forged: the sender keeps them
+  // sorted and distinct.
+  for (const std::vector<Uint160>& forged :
+       {std::vector<Uint160>{Uint160::Max(), Uint160()},
+        std::vector<Uint160>{Uint160::Max(), Uint160::Max()}}) {
+    MigrateBucketPayload unsorted = bucket;
+    unsorted.queries[0].evaluators = forged;
+    wire::Writer uw;
+    ASSERT_TRUE(PayloadCodec::Default().Encode(unsorted, uw));
+    EXPECT_EQ(decode(uw.bytes()), nullptr);
+  }
 }
 
 // Notifications are routed to HashKey(subscriber_key). The query caches

@@ -185,8 +185,10 @@ TEST(EvaluatorExpiry, DropsOnlyTuplesOlderThanCutoff) {
   };
   state.vltt.Insert("R+A", "7", stored_at(5, 1));
   state.vltt.Insert("R+A", "7", stored_at(50, 2));
-  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/5, /*seq=*/3});
-  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/50, /*seq=*/4});
+  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/5, /*seq=*/3,
+                                              /*query=*/nullptr});
+  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/50, /*seq=*/4,
+                                              /*query=*/nullptr});
 
   EXPECT_EQ(evaluator::ExpireBefore(state, /*cutoff=*/20), 2u);
   EXPECT_EQ(state.vltt.size(), 1u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "query/parser.h"
 
 namespace contjoin::core {
@@ -66,14 +69,45 @@ TEST_F(TablesTest, AlqtInsertFindRemove) {
   EXPECT_EQ(alqt.Find("R+A"), nullptr);
 
   // Removal touches the named bucket only: q1 stays under R+B.
-  EXPECT_EQ(alqt.RemoveQuery("S+E", "n1#0"), 1u);
+  EXPECT_EQ(alqt.RemoveQuery("S+E", "n1#0").size(), 1u);
   EXPECT_EQ(alqt.size(), 2u);
   EXPECT_EQ(alqt.Find("S+E"), nullptr);  // Emptied level-1 pruned.
-  EXPECT_EQ(alqt.RemoveQuery("R+A", "n1#0"), 0u);  // No such bucket.
-  EXPECT_EQ(alqt.RemoveQuery("R+B", "n1#0"), 1u);
+  EXPECT_TRUE(alqt.RemoveQuery("R+A", "n1#0").empty());  // No such bucket.
+  EXPECT_EQ(alqt.RemoveQuery("R+B", "n1#0").size(), 1u);
   EXPECT_EQ(alqt.size(), 1u);
   ASSERT_NE(alqt.Find("R+B"), nullptr);
   EXPECT_EQ(alqt.Find("R+B")->begin()->second.size(), 1u);
+}
+
+// A duplicate (query key, index side) entry is not stored twice, but the
+// evaluators its copy reached are kept: a handoff or a moved bucket that
+// lands on a node still holding the entry loses no evaluator to clear.
+TEST_F(TablesTest, AlqtDuplicateMergesEvaluators) {
+  AttrLevelQueryTable alqt;
+  auto q1 = MakeQuery("n1#0");
+  const chord::NodeId a = HashKey("a"), b = HashKey("b"), c = HashKey("c");
+  AlqtEntry stored(q1, 0);
+  stored.AddEvaluator(a);
+  stored.AddEvaluator(b);
+  alqt.Insert("R+B", q1->signature(), stored);
+  AlqtEntry retried(q1, 0);
+  retried.AddEvaluator(c);
+  retried.AddEvaluator(a);
+  alqt.Insert("R+B", q1->signature(), retried);
+
+  AttrLevelQueryTable::GroupMap handed_off;
+  AlqtEntry copy(q1, 0);
+  copy.AddEvaluator(c);
+  copy.AddEvaluator(HashKey("d"));
+  handed_off[q1->signature()].push_back(copy);
+  alqt.AbsorbLevel1("R+B", std::move(handed_off));
+
+  EXPECT_EQ(alqt.size(), 1u);
+  std::vector<chord::NodeId> expected = {a, b, c, HashKey("d")};
+  std::sort(expected.begin(), expected.end());
+  const AttrLevelQueryTable::Group removed = alqt.RemoveQuery("R+B", "n1#0");
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].evaluators, expected);
 }
 
 TEST_F(TablesTest, VlqtDedupByRewrittenKey) {
@@ -166,9 +200,12 @@ TEST_F(TablesTest, VlttInsertFindExpire) {
 
 TEST_F(TablesTest, DaivStoreSidesAreSeparate) {
   DaivStore store;
-  store.Insert("25", "q1", 0, DaivStored{{rel::Value::Int(1)}, 10, 1});
-  store.Insert("25", "q1", 1, DaivStored{{rel::Value::Int(2)}, 11, 2});
-  store.Insert("25", "q2", 0, DaivStored{{rel::Value::Int(3)}, 12, 3});
+  store.Insert("25", "q1", 0,
+               DaivStored{{rel::Value::Int(1)}, 10, 1, nullptr});
+  store.Insert("25", "q1", 1,
+               DaivStored{{rel::Value::Int(2)}, 11, 2, nullptr});
+  store.Insert("25", "q2", 0,
+               DaivStored{{rel::Value::Int(3)}, 12, 3, nullptr});
   EXPECT_EQ(store.size(), 3u);
   ASSERT_NE(store.Find("25", "q1", 0), nullptr);
   EXPECT_EQ(store.Find("25", "q1", 0)->size(), 1u);
@@ -179,9 +216,9 @@ TEST_F(TablesTest, DaivStoreSidesAreSeparate) {
 
 TEST_F(TablesTest, DaivStoreExpireAndRemove) {
   DaivStore store;
-  store.Insert("25", "q1", 0, DaivStored{{}, 10, 1});
-  store.Insert("25", "q1", 0, DaivStored{{}, 30, 2});
-  store.Insert("30", "q1", 1, DaivStored{{}, 40, 3});
+  store.Insert("25", "q1", 0, DaivStored{{}, 10, 1, nullptr});
+  store.Insert("25", "q1", 0, DaivStored{{}, 30, 2, nullptr});
+  store.Insert("30", "q1", 1, DaivStored{{}, 40, 3, nullptr});
   EXPECT_EQ(store.ExpireBefore(20), 1u);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.RemoveQuery("q1"), 2u);

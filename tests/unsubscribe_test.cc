@@ -1,20 +1,18 @@
 // Unsubscription (extension beyond the paper) sends only what clearing a
 // cancelled query's state needs. DAI-Q evaluators store tuples and never
-// queries (§4.4.2), so a DAI-Q cancellation stops at the rewriters whatever
-// track_evaluators says; the adaptive manager stores joins at every T1
-// evaluator, so there the evaluators are told again. Where they are told,
-// the rewriters' record of them follows an ALQT bucket to its new home.
+// queries (§4.4.2), so a DAI-Q cancellation stops at the rewriters; the
+// adaptive manager stores joins at every T1 evaluator, so there the
+// evaluators are told again. Where they are told, each ALQT entry's own
+// record of them follows the entry to a new home, and under reliable
+// delivery a dropped removal is retried until it lands.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/engine.h"
 
 namespace contjoin::core {
@@ -52,75 +50,8 @@ uint64_t UnsubscribesReceived(const ContinuousQueryNetwork& net) {
       .received_by_type[static_cast<size_t>(CqMsgType::kUnsubscribe)];
 }
 
-/// Everything observable of one windowed DAI-Q run: every notification
-/// (sorted), the final storage and the per-class traffic report.
-struct RunTrace {
-  std::vector<std::string> notifications;
-  std::vector<uint64_t> storage;
-  std::string traffic;
-  uint64_t hops = 0;
-};
-
-/// Submits, inserts and unsubscribes the oldest live query, interleaved.
-RunTrace RunWindowedChurn(bool track_evaluators) {
-  auto net = MakeNet(Algorithm::kDaiQ, [&](Options* o) {
-    o->window = 40;
-    o->track_evaluators = track_evaluators;
-  });
-  const char* const kQueries[] = {
-      "SELECT R.A, S.D FROM R, S WHERE R.B = S.E",
-      "SELECT R.B, S.E FROM R, S WHERE R.A = S.D",
-  };
-  Rng rng(11);
-  std::deque<std::pair<size_t, std::string>> live;
-  for (int step = 0; step < 160; ++step) {
-    const size_t node = rng.NextBelow(kNodes);
-    if (step % 10 == 0) {
-      auto key = net->SubmitQuery(node, kQueries[step / 10 % 2]);
-      CJ_CHECK(key.ok());
-      live.emplace_back(node, key.value());
-    } else if (step % 10 == 7 && live.size() > 2) {
-      CJ_CHECK(net->Unsubscribe(live.front().first, live.front().second).ok());
-      live.pop_front();
-    } else {
-      std::vector<Value> values = {
-          Value::Int(static_cast<int64_t>(rng.NextBelow(4))),
-          Value::Int(static_cast<int64_t>(rng.NextBelow(4)))};
-      CJ_CHECK(net->InsertTuple(node, rng.NextBelow(2) == 0 ? "R" : "S",
-                                std::move(values))
-                   .ok());
-    }
-  }
-  RunTrace trace;
-  for (size_t i = 0; i < net->num_nodes(); ++i) {
-    for (const Notification& n : net->TakeNotifications(i)) {
-      trace.notifications.push_back(n.ToString() + " @" +
-                                    std::to_string(n.earlier_pub) + "," +
-                                    std::to_string(n.later_pub));
-    }
-  }
-  std::sort(trace.notifications.begin(), trace.notifications.end());
-  const NodeStorage s = net->TotalStorage();
-  trace.storage = {s.alqt_queries, s.vlqt_rewritten, s.vltt_tuples,
-                   s.daiv_entries, s.stored_notifications};
-  trace.traffic = net->stats().Report();
-  trace.hops = net->stats().total_hops();
-  return trace;
-}
-
-TEST(DaiqUnsubscribeTest, TrackEvaluatorsIsInert) {
-  const RunTrace off = RunWindowedChurn(false);
-  const RunTrace on = RunWindowedChurn(true);
-  ASSERT_FALSE(off.notifications.empty());
-  EXPECT_EQ(on.notifications, off.notifications);
-  EXPECT_EQ(on.storage, off.storage);
-  EXPECT_EQ(on.traffic, off.traffic);
-  EXPECT_EQ(on.hops, off.hops);
-}
-
 TEST(DaiqUnsubscribeTest, OneUnsubscribeReachesTheRewritersOnly) {
-  auto net =
-      MakeNet(Algorithm::kDaiQ, [](Options* o) { o->track_evaluators = true; });
+  auto net = MakeNet(Algorithm::kDaiQ, [](Options*) {});
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   // Rewrites of both sides reach evaluators before the cancellation.
@@ -140,10 +71,8 @@ TEST(DaiqUnsubscribeTest, OneUnsubscribeReachesTheRewritersOnly) {
 }
 
 TEST(DaiqUnsubscribeTest, AdaptiveEvaluatorsAreStillCleared) {
-  auto net = MakeNet(Algorithm::kDaiQ, [](Options* o) {
-    o->track_evaluators = true;
-    o->adapt.enabled = true;
-  });
+  auto net = MakeNet(Algorithm::kDaiQ,
+                     [](Options* o) { o->adapt.enabled = true; });
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(net->InsertTuple(1, "R", {Value::Int(1), Value::Int(7)}).ok());
@@ -179,14 +108,12 @@ TEST(DaiqUnsubscribeTest, RefreshReplaysOnlyLiveQueries) {
   EXPECT_TRUE(net->Unsubscribe(1, keys[1]).IsNotFound());
 }
 
-// Churn repair hands an ALQT bucket to a joined node together with the
-// evaluators its query was rewritten to, so the new rewriter can still
-// clear them.
+// Churn repair hands an ALQT bucket to a joined node, and its entries
+// carry the evaluators their query was rewritten to, so the new rewriter
+// can still clear them.
 TEST(UnsubscribeHandoffTest, JoinedRewriterClearsEvaluatorState) {
-  auto net = MakeNet(Algorithm::kDaiT, [](Options* o) {
-    o->track_evaluators = true;
-    o->attribute_replication = 1;
-  });
+  auto net = MakeNet(Algorithm::kDaiT,
+                     [](Options* o) { o->attribute_replication = 1; });
   auto key = net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
   ASSERT_TRUE(key.ok());
   ASSERT_TRUE(net->InsertTuple(1, "R", {Value::Int(1), Value::Int(7)}).ok());
@@ -204,6 +131,48 @@ TEST(UnsubscribeHandoffTest, JoinedRewriterClearsEvaluatorState) {
   EXPECT_EQ(net->TotalStorage().vlqt_rewritten, 0u);
   ASSERT_TRUE(net->InsertTuple(2, "S", {Value::Int(5), Value::Int(7)}).ok());
   EXPECT_TRUE(net->TakeNotifications(0).empty());
+}
+
+// With reliable delivery on, removal messages are retried like every
+// other critical message: however the dropped control hops fall, neither
+// a rewriter nor an evaluator keeps a cancelled query.
+TEST(UnsubscribeReliabilityTest, DroppedControlHopsNeverKeepACancelledQuery) {
+  for (Algorithm algorithm : {Algorithm::kSai, Algorithm::kDaiQ,
+                              Algorithm::kDaiT, Algorithm::kDaiV}) {
+    for (uint64_t fault_seed = 1; fault_seed <= 20; ++fault_seed) {
+      SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + " fault seed " +
+                   std::to_string(fault_seed));
+      auto net = MakeNet(algorithm, [&](Options* o) {
+        o->reliability.enabled = true;
+        o->faults.seed = fault_seed;
+        o->faults.profile(sim::MsgClass::kControl).drop_prob = 0.3;
+        // Drops hit every routed hop and every ack, so at this loss rate
+        // the default 8 retries run out for some removals; this budget
+        // lets every one land (checked below).
+        o->reliability.max_retries = 20;
+      });
+      auto key =
+          net->SubmitQuery(0, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E");
+      ASSERT_TRUE(key.ok());
+      ASSERT_TRUE(
+          net->InsertTuple(1, "R", {Value::Int(1), Value::Int(7)}).ok());
+      ASSERT_TRUE(
+          net->InsertTuple(2, "S", {Value::Int(5), Value::Int(7)}).ok());
+      ASSERT_EQ(net->TakeNotifications(0).size(), 1u);
+
+      ASSERT_TRUE(net->Unsubscribe(0, key.value()).ok());
+      EXPECT_EQ(net->TotalMetrics().reliable_abandoned, 0u);
+      const NodeStorage storage = net->TotalStorage();
+      EXPECT_EQ(storage.alqt_queries, 0u);
+      EXPECT_EQ(storage.vlqt_rewritten, 0u);
+      EXPECT_EQ(storage.daiv_entries, 0u);
+      ASSERT_TRUE(
+          net->InsertTuple(3, "R", {Value::Int(2), Value::Int(7)}).ok());
+      ASSERT_TRUE(
+          net->InsertTuple(4, "S", {Value::Int(6), Value::Int(7)}).ok());
+      EXPECT_TRUE(net->TakeNotifications(0).empty());
+    }
+  }
 }
 
 }  // namespace
