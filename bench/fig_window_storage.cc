@@ -12,8 +12,9 @@ int main() {
       "Effect of window size and installed queries in total evaluator "
       "storage load",
       "steady-state value-level tuple storage is proportional to the window "
-      "size; rewritten-query storage grows with the installed queries and "
-      "is not windowed (continuous queries persist)");
+      "size; rewritten-query storage grows with the installed queries and, "
+      "under a window, is bounded by it too (a rewritten query expires with "
+      "its latest trigger; the continuous queries themselves persist)");
 
   const size_t kTuples = bench::Scaled(4000);
   bench::PrintEffective(bench::DefaultConfig().engine.num_nodes, 0,

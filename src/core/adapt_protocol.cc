@@ -184,56 +184,50 @@ DaivEntry RebuildDaivEntry(const DaivStored& stored, int side) {
   return entry;
 }
 
-/// Side encoded in a DaivStore sub-key ("query#L" / "query#R").
-int DaivSubKeySide(const std::string& sub_key) {
-  return sub_key.size() >= 2 && sub_key[sub_key.size() - 1] == 'R' ? 1 : 0;
-}
-
 /// Re-places every piece of family state held by a node that no longer
 /// owns a live sub-key; a node owning at least one live shard keeps
-/// everything (see OwnsLiveShard).
+/// everything (see OwnsLiveShard). Each entry goes to its HomeShards.
 void SweepFamily(ProtocolContext& ctx, chord::Node& node, NodeState& state,
                  const std::string& level1, const std::string& base) {
   const int split = state.adapt.directory.SplitOf(level1, base);
   if (OwnsLiveShard(node, level1, base, split)) return;
   if (!level1.empty()) {
-    // T1 family: rewritten queries fan to every live shard; stored
-    // tuples hash to their sequence shard.
+    // T1 family: one batch of rewritten queries per home shard, then each
+    // stored tuple on its own.
     ValueLevelQueryTable::Bucket joins =
         state.evaluator.vlqt.TakeBucket(level1, base);
     if (!joins.empty()) {
       std::vector<RewrittenEntry> entries = BucketToEntries(joins);
-      for (const std::string& key : LiveSubKeys(base, split)) {
-        ShipJoinEntries(ctx, node, level1, key, entries);
+      const ShardRange shards =
+          HomeShards(VlqtPolicy::PlacementOf(base), 0, split);
+      for (int j = shards.first; j < shards.last; ++j) {
+        ShipJoinEntries(ctx, node, level1, la::ShardValueKey(base, j, split),
+                        entries);
       }
     }
     ValueLevelTupleTable::Bucket tuples =
         state.evaluator.vltt.TakeBucket(level1, base);
     for (const StoredTuple& stored : tuples) {
-      const int shard = la::ShardOfSeq(stored.tuple->seq(), split);
+      const ShardRange shards = HomeShards(VlttPolicy::PlacementOf(base),
+                                           VlttPolicy::SeqOf(stored), split);
       ShipStoredTuple(ctx, node, level1,
-                      la::ShardValueKey(base, shard, split), stored);
+                      la::ShardValueKey(base, shards.first, split), stored);
     }
     ++state.metrics.adapt_reships;
     return;
   }
-  // DAI-V family: side-1 entries fan everywhere, side-0 projections
-  // hash to their sequence shard.
-  const std::vector<std::string> live = LiveSubKeys(base, split);
+  // DAI-V family: the entries of every (query, side) bucket, batched per
+  // target sub-key.
   std::map<std::string, std::vector<DaivEntry>> by_target;
-  for (const auto& [value_key, sub_key] : state.evaluator.daiv.BucketKeys()) {
+  for (const auto& [value_key, key2] : state.evaluator.daiv.BucketKeys()) {
     if (value_key != base) continue;
-    DaivStore::Bucket bucket = state.evaluator.daiv.TakeBucket(base, sub_key);
-    const int side = DaivSubKeySide(sub_key);
+    DaivStore::Bucket bucket = state.evaluator.daiv.TakeBucket(base, key2);
     for (const DaivStored& stored : bucket) {
-      if (stored.query == nullptr) continue;  // Cannot rebuild: no query.
-      DaivEntry entry = RebuildDaivEntry(stored, side);
-      if (side == 1) {
-        for (const std::string& key : live) by_target[key].push_back(entry);
-      } else {
-        const int shard = la::ShardOfSeq(stored.seq, split);
-        by_target[la::ShardValueKey(base, shard, split)].push_back(
-            std::move(entry));
+      const ShardRange shards =
+          HomeShards(DaivPolicy::PlacementOf(key2), stored.seq, split);
+      for (int j = shards.first; j < shards.last; ++j) {
+        by_target[la::ShardValueKey(base, j, split)].push_back(
+            RebuildDaivEntry(stored, key2.side));
       }
     }
   }
@@ -273,14 +267,13 @@ void TopUpFamily(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     return;
   }
   std::vector<DaivEntry> entries;
-  for (const auto& [value_key, sub_key] : state.evaluator.daiv.BucketKeys()) {
-    if (value_key != base || DaivSubKeySide(sub_key) != 1) continue;
-    const std::string query_key = sub_key.substr(0, sub_key.size() - 2);
-    const auto* bucket = state.evaluator.daiv.Find(base, query_key, 1);
-    if (bucket == nullptr) continue;
-    for (const DaivStored& stored : *bucket) {
-      if (stored.query == nullptr) continue;
-      entries.push_back(RebuildDaivEntry(stored, 1));
+  for (const auto& [value_key, key2] : state.evaluator.daiv.BucketKeys()) {
+    if (value_key != base ||
+        DaivPolicy::PlacementOf(key2) != Placement::kReplicated) {
+      continue;
+    }
+    for (const DaivStored& stored : *state.evaluator.daiv.Find(base, key2)) {
+      entries.push_back(RebuildDaivEntry(stored, key2.side));
     }
   }
   for (int j = lo; j < hi; ++j) {
@@ -417,21 +410,19 @@ void RedispatchJoin(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   ++state.metrics.adapt_redirects;
 }
 
-/// DAI-V counterpart of RedispatchJoin: side-1 entries fan to every
-/// live shard, side-0 entries hash to their sequence shard.
+/// DAI-V counterpart of RedispatchJoin: each entry goes to its
+/// HomeShards by trigger side.
 void RedispatchDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
                     const DaivJoinPayload& p, const std::string& base,
                     int split) {
   const la::Directive* d = state.adapt.directory.FindSplit("", base);
   const uint64_t version = d == nullptr ? 0 : d->version;
-  const std::vector<std::string> live = LiveSubKeys(base, split);
   std::map<std::string, std::vector<DaivEntry>> by_target;
   for (const DaivEntry& entry : p.entries) {
-    if (entry.trigger_side == 1) {
-      for (const std::string& key : live) by_target[key].push_back(entry);
-    } else {
-      const int shard = la::ShardOfSeq(entry.trigger_seq, split);
-      by_target[la::ShardValueKey(base, shard, split)].push_back(entry);
+    const ShardRange shards = HomeShards(DaivPlacement(entry.trigger_side),
+                                         entry.trigger_seq, split);
+    for (int j = shards.first; j < shards.last; ++j) {
+      by_target[la::ShardValueKey(base, j, split)].push_back(entry);
     }
   }
   for (auto& [key, entries] : by_target) {
@@ -463,7 +454,11 @@ std::string SubValueKey(const std::string& base, int shard, int split) {
   return la::ShardValueKey(base, shard, split);
 }
 
-int ShardOf(uint64_t seq, int split) { return la::ShardOfSeq(seq, split); }
+ShardRange HomeShards(Placement placement, uint64_t seq, int split) {
+  if (placement == Placement::kReplicated) return {0, std::max(1, split)};
+  const int shard = la::ShardOfSeq(seq, split);
+  return {shard, shard + 1};
+}
 
 int SplitFor(const ProtocolContext& ctx, const NodeState& state,
              const std::string& level1, const std::string& value,
@@ -573,8 +568,9 @@ bool OnValueTuple(ProtocolContext& ctx, chord::Node& node,
   // Dead sub-key: forward to the owner our directory deems live,
   // preceded by a directive refresh so a stale owner applies the newer
   // view instead of bouncing the tuple back.
-  const int target_shard = la::ShardOfSeq(p.tuple->seq(), split);
-  const std::string target_key = la::ShardValueKey(base, target_shard, split);
+  const ShardRange shards =
+      HomeShards(VlttPolicy::PlacementOf(base), p.tuple->seq(), split);
+  const std::string target_key = la::ShardValueKey(base, shards.first, split);
   const chord::NodeId target = ValueIndexIdOfKey(p.level1, target_key);
   const la::Directive* d = state.adapt.directory.FindSplit(p.level1, base);
   if (d != nullptr && d->version > 0) {
@@ -656,7 +652,9 @@ bool OnDaivJoinArrival(ProtocolContext& ctx, chord::Node& node,
     // side-0 entries were hashed into [0, known_split), all live.
     std::vector<DaivEntry> side1;
     for (const DaivEntry& entry : p.entries) {
-      if (entry.trigger_side == 1) side1.push_back(entry);
+      if (DaivPlacement(entry.trigger_side) == Placement::kReplicated) {
+        side1.push_back(entry);
+      }
     }
     for (int j = std::max(1, p.known_split); j < split; ++j) {
       ShipDaivEntries(ctx, node, la::ShardValueKey(base, j, split), side1);

@@ -23,6 +23,7 @@
 #include "chord/types.h"
 #include "core/context.h"
 #include "core/messages.h"
+#include "core/tables.h"
 
 namespace chord {
 class Node;
@@ -48,8 +49,17 @@ std::string BaseValueOf(const std::string& value_key);
 /// Virtual sub-key `shard` of `base` under split factor `split`.
 std::string SubValueKey(const std::string& base, int shard, int split);
 
-/// Shard a publication with sequence number `seq` hashes to.
-int ShardOf(uint64_t seq, int split);
+/// Half-open shard index range [first, last).
+struct ShardRange {
+  int first = 0;
+  int last = 1;
+};
+
+/// The one placement rule for a split family's evaluator state: the shards
+/// of `split` at which an entry with sequence number `seq` lives — all of
+/// them when it is replicated, its sequence shard alone when partitioned.
+/// An unsplit family (split <= 1) has the single shard 0.
+ShardRange HomeShards(Placement placement, uint64_t seq, int split);
 
 // --- Directory reads for senders ----------------------------------------------
 

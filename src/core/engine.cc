@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/uint160.h"
+#include "core/adapt_protocol.h"
 #include "core/codec.h"
 #include "core/rewriter.h"
 #include "core/subscriber.h"
@@ -42,7 +43,7 @@ NodeState& ContinuousQueryNetwork::StateOf(chord::Node& node) {
 }
 
 void ContinuousQueryNetwork::Tick() {
-  simulator_.AdvanceTo(simulator_.Now() + options_.time_step);
+  simulator_.AdvanceTo(simulator_.Now() + 1);
   ProcessChurnDue();
 }
 
@@ -140,7 +141,8 @@ void ContinuousQueryNetwork::ProcessChurnDue() {
     }
   }
   simulator_.Run();
-  if (options_.reliability.enabled && options_.reliability.repair_on_churn) {
+  if (options_.reliability.enabled) {
+    // Soft-state repair: index handoff, then re-index refresh.
     ReconcilePlacement();
     // Joins only displace responsibility (handled by the handoff above);
     // crashes destroy state, which only the origin logs can rebuild.
@@ -219,6 +221,71 @@ size_t ContinuousQueryNetwork::ReconcilePlacement() {
     network_.CountHop(sim::MsgClass::kControl);
     moved += objects;
   };
+  // Re-homes one value-level table of `node`. A bucket stored whole — an
+  // unsplit one, or a split family's replicated one — stays if `node` is
+  // one of its homes and is otherwise copied to each; a split family's
+  // partitioned bucket sends each entry to its sequence shard's home.
+  // Crash-lost copies are recovered by index replay, as in the base
+  // protocol.
+  auto rehome = [this, &transfer]<typename Policy>(
+                    chord::Node* node,
+                    ValueLevelTable<Policy> evaluator::State::*member,
+                    auto split_of, auto home_id) {
+    ValueLevelTable<Policy>& table = StateOf(*node).evaluator.*member;
+    for (const auto& [level1, key2] : table.BucketKeys()) {
+      const int split = split_of(level1, key2);
+      const Placement placement =
+          split > 1 ? Policy::PlacementOf(key2) : Placement::kReplicated;
+      auto home_at = [&](int shard) {
+        return network_.OracleSuccessor(home_id(level1, key2, shard, split));
+      };
+      if (placement == Placement::kReplicated) {
+        const adapt::ShardRange shards = adapt::HomeShards(placement, 0, split);
+        bool is_home = false;
+        std::vector<chord::Node*> homes;
+        for (int j = shards.first; j < shards.last; ++j) {
+          chord::Node* home = home_at(j);
+          if (home == nullptr) continue;
+          if (home == node) {
+            is_home = true;
+          } else if (std::find(homes.begin(), homes.end(), home) ==
+                     homes.end()) {
+            homes.push_back(home);
+          }
+        }
+        if (is_home || homes.empty()) continue;
+        auto bucket = table.TakeBucket(level1, key2);
+        for (chord::Node* home : homes) {
+          (StateOf(*home).evaluator.*member)
+              .AbsorbBucket(level1, key2, bucket);
+          transfer(bucket.size());
+        }
+        continue;
+      }
+      auto bucket = table.TakeBucket(level1, key2);
+      typename Policy::Bucket keep;
+      for (int j = 0; j < split; ++j) {
+        chord::Node* home = home_at(j);
+        typename Policy::Bucket group;
+        for (const auto& entry : bucket) {
+          if (adapt::HomeShards(placement, Policy::SeqOf(entry), split)
+                  .first == j) {
+            group.insert(group.end(), entry);
+          }
+        }
+        if (group.empty()) continue;
+        if (home == nullptr || home == node) {
+          for (auto& entry : group) keep.insert(keep.end(), std::move(entry));
+          continue;
+        }
+        const size_t objects = group.size();
+        (StateOf(*home).evaluator.*member)
+            .AbsorbBucket(level1, key2, std::move(group));
+        transfer(objects);
+      }
+      if (!keep.empty()) table.AbsorbBucket(level1, key2, std::move(keep));
+    }
+  };
   // Adaptive directory sync: union every surviving directory and write it
   // back, so all owners (including freshly joined nodes) agree on each
   // family's live shard set before buckets are re-homed below.
@@ -258,172 +325,35 @@ size_t ContinuousQueryNetwork::ReconcilePlacement() {
       transfer(objects);
     }
 
-    // VLQT / VLTT buckets: home = Successor(Hash(level1 + "+" + value)).
-    // Split families (adaptive manager) are keyed by the base value but
-    // live at their virtual sub-key homes: rewritten queries at every
-    // shard home, tuples at their sequence shard's home. A node that is
-    // still one of the live homes keeps its bucket — crash-lost copies
-    // are recovered by index replay, as in the base protocol.
-    for (const auto& [level1, value_key] :
-         state.evaluator.vlqt.BucketKeys()) {
-      const int split = options_.adapt.enabled
-                            ? state.adapt.directory.SplitOf(level1, value_key)
-                            : 1;
-      if (split > 1) {
-        bool is_home = false;
-        std::vector<chord::Node*> homes;
-        for (int j = 0; j < split; ++j) {
-          chord::Node* home = network_.OracleSuccessor(ValueIndexIdOfKey(
-              level1,
-              ::contjoin::adapt::ShardValueKey(value_key, j, split)));
-          if (home == nullptr) continue;
-          if (home == node) {
-            is_home = true;
-          } else if (std::find(homes.begin(), homes.end(), home) ==
-                     homes.end()) {
-            homes.push_back(home);
-          }
-        }
-        if (is_home) continue;
-        auto bucket = state.evaluator.vlqt.TakeBucket(level1, value_key);
-        size_t objects = bucket.size();
-        for (chord::Node* home : homes) {
-          StateOf(*home).evaluator.vlqt.AbsorbBucket(level1, value_key,
-                                                     bucket);
-          transfer(objects);
-        }
-        continue;
-      }
-      chord::Node* home =
-          network_.OracleSuccessor(ValueIndexIdOfKey(level1, value_key));
-      if (home == nullptr || home == node) continue;
-      auto bucket = state.evaluator.vlqt.TakeBucket(level1, value_key);
-      size_t objects = bucket.size();
-      StateOf(*home).evaluator.vlqt.AbsorbBucket(level1, value_key,
-                                                 std::move(bucket));
-      transfer(objects);
-    }
-    for (const auto& [level1, value_key] :
-         state.evaluator.vltt.BucketKeys()) {
-      const int split = options_.adapt.enabled
-                            ? state.adapt.directory.SplitOf(level1, value_key)
-                            : 1;
-      if (split > 1) {
-        auto bucket = state.evaluator.vltt.TakeBucket(level1, value_key);
-        ValueLevelTupleTable::Bucket keep;
-        for (int j = 0; j < split; ++j) {
-          chord::Node* home = network_.OracleSuccessor(ValueIndexIdOfKey(
-              level1,
-              ::contjoin::adapt::ShardValueKey(value_key, j, split)));
-          ValueLevelTupleTable::Bucket group;
-          for (const StoredTuple& st : bucket) {
-            if (::contjoin::adapt::ShardOfSeq(st.tuple->seq(), split) == j) {
-              group.push_back(st);
-            }
-          }
-          if (group.empty()) continue;
-          if (home == nullptr || home == node) {
-            for (StoredTuple& st : group) keep.push_back(std::move(st));
-            continue;
-          }
-          size_t objects = group.size();
-          StateOf(*home).evaluator.vltt.AbsorbBucket(level1, value_key,
-                                                     std::move(group));
-          transfer(objects);
-        }
-        if (!keep.empty()) {
-          state.evaluator.vltt.AbsorbBucket(level1, value_key,
-                                            std::move(keep));
-        }
-        continue;
-      }
-      chord::Node* home =
-          network_.OracleSuccessor(ValueIndexIdOfKey(level1, value_key));
-      if (home == nullptr || home == node) continue;
-      auto bucket = state.evaluator.vltt.TakeBucket(level1, value_key);
-      size_t objects = bucket.size();
-      StateOf(*home).evaluator.vltt.AbsorbBucket(level1, value_key,
-                                                 std::move(bucket));
-      transfer(objects);
-    }
-
-    // DAI-V buckets: the sub key is "Key(q)#L/R"; the home identifier is
-    // Hash(value) or Hash(Key(q)+value) for the key-prefixed variant.
-    for (const auto& [value_key, sub_key] :
-         state.evaluator.daiv.BucketKeys()) {
-      CJ_CHECK(sub_key.size() > 2) << "malformed DAI-V sub key " << sub_key;
-      const int split =
-          options_.adapt.enabled && !options_.daiv_prefix_query_key
-              ? state.adapt.directory.SplitOf("", value_key)
-              : 1;
-      if (split > 1) {
-        // Side 1 ("#R", the replicated side) lives at every shard home;
-        // side 0 ("#L") is partitioned by the stored trigger sequence.
-        const bool replicated = sub_key.back() == 'R';
-        if (replicated) {
-          bool is_home = false;
-          std::vector<chord::Node*> homes;
-          for (int j = 0; j < split; ++j) {
-            chord::Node* home = network_.OracleSuccessor(DaivIndexId(
-                ::contjoin::adapt::ShardValueKey(value_key, j, split)));
-            if (home == nullptr) continue;
-            if (home == node) {
-              is_home = true;
-            } else if (std::find(homes.begin(), homes.end(), home) ==
-                       homes.end()) {
-              homes.push_back(home);
-            }
-          }
-          if (is_home) continue;
-          auto bucket = state.evaluator.daiv.TakeBucket(value_key, sub_key);
-          size_t objects = bucket.size();
-          for (chord::Node* home : homes) {
-            StateOf(*home).evaluator.daiv.AbsorbBucket(value_key, sub_key,
-                                                       bucket);
-            transfer(objects);
-          }
-        } else {
-          auto bucket = state.evaluator.daiv.TakeBucket(value_key, sub_key);
-          DaivStore::Bucket keep;
-          for (int j = 0; j < split; ++j) {
-            chord::Node* home = network_.OracleSuccessor(DaivIndexId(
-                ::contjoin::adapt::ShardValueKey(value_key, j, split)));
-            DaivStore::Bucket group;
-            for (const DaivStored& st : bucket) {
-              if (::contjoin::adapt::ShardOfSeq(st.seq, split) == j) {
-                group.push_back(st);
-              }
-            }
-            if (group.empty()) continue;
-            if (home == nullptr || home == node) {
-              for (DaivStored& st : group) keep.push_back(std::move(st));
-              continue;
-            }
-            size_t objects = group.size();
-            StateOf(*home).evaluator.daiv.AbsorbBucket(value_key, sub_key,
-                                                       std::move(group));
-            transfer(objects);
-          }
-          if (!keep.empty()) {
-            state.evaluator.daiv.AbsorbBucket(value_key, sub_key,
-                                              std::move(keep));
-          }
-        }
-        continue;
-      }
-      chord::NodeId home_id =
-          options_.daiv_prefix_query_key
-              ? DaivPrefixedIndexId(sub_key.substr(0, sub_key.size() - 2),
-                                    value_key)
-              : DaivIndexId(value_key);
-      chord::Node* home = network_.OracleSuccessor(home_id);
-      if (home == nullptr || home == node) continue;
-      auto bucket = state.evaluator.daiv.TakeBucket(value_key, sub_key);
-      size_t objects = bucket.size();
-      StateOf(*home).evaluator.daiv.AbsorbBucket(value_key, sub_key,
-                                                 std::move(bucket));
-      transfer(objects);
-    }
+    // Value-level buckets: unsplit, home = Successor of the bucket's own
+    // identifier — Hash(level1 + "+" + value) for the VLQT and VLTT;
+    // Hash(value), or Hash(Key(q)+value) when key-prefixed, for the DAI-V
+    // store. A split family keys its buckets by the base value but keeps
+    // them at their virtual sub-key homes (adapt::HomeShards).
+    const bool prefixed = options_.daiv_prefix_query_key;
+    auto value_split = [&](const std::string& level1,
+                           const std::string& value) {
+      return options_.adapt.enabled
+                 ? state.adapt.directory.SplitOf(level1, value)
+                 : 1;
+    };
+    auto value_home = [](const std::string& level1, const std::string& value,
+                         int shard, int split) {
+      return ValueIndexIdOfKey(level1, adapt::SubValueKey(value, shard, split));
+    };
+    auto daiv_split = [&](const std::string& value, const DaivKey&) {
+      return options_.adapt.enabled && !prefixed
+                 ? state.adapt.directory.SplitOf("", value)
+                 : 1;
+    };
+    auto daiv_home = [prefixed](const std::string& value, const DaivKey& key,
+                                int shard, int split) {
+      return prefixed ? DaivPrefixedIndexId(key.query_key, value)
+                      : DaivIndexId(adapt::SubValueKey(value, shard, split));
+    };
+    rehome(node, &evaluator::State::vlqt, value_split, value_home);
+    rehome(node, &evaluator::State::vltt, value_split, value_home);
+    rehome(node, &evaluator::State::daiv, daiv_split, daiv_home);
 
     // DHT-stored items (notifications for off-line subscribers): re-place
     // each key at its current successor.
@@ -482,7 +412,7 @@ NodeStorage ContinuousQueryNetwork::storage(size_t node_index) const {
   out.daiv_entries = state.evaluator.daiv.size();
   out.stored_notifications = const_cast<chord::Node*>(node)->store().size();
   out.mw_queries = state.mw.alqt_size;
-  out.mw_partials = state.mw.vlqt_size;
+  out.mw_partials = state.mw.vlqt.size();
   return out;
 }
 

@@ -301,8 +301,9 @@ class ContinuousQueryNetwork : public chord::Application,
                std::make_move_iterator(rows.end()));
   }
 
-  /// Advances virtual time by time_step, applies churn events that became
-  /// due, and drains pending events.
+  /// Advances virtual time by one unit, so that publication and insertion
+  /// times are strictly ordered; applies churn events that became due, and
+  /// drains pending events.
   void Tick();
 
   /// Applies scripted churn events with at <= Now, then repairs.

@@ -20,10 +20,8 @@ void RemoveQuery(State& state, const std::string& query_key) {
 }
 
 size_t ExpireBefore(State& state, rel::Timestamp cutoff) {
-  size_t dropped = 0;
-  dropped += state.vltt.ExpireBefore(cutoff);
-  dropped += state.daiv.ExpireBefore(cutoff);
-  return dropped;
+  return state.vlqt.ExpireBefore(cutoff) + state.vltt.ExpireBefore(cutoff) +
+         state.daiv.ExpireBefore(cutoff);
 }
 
 namespace {
@@ -113,8 +111,7 @@ void HandleJoin(ProtocolContext& ctx, chord::Node& node,
   for (const RewrittenEntry& entry : p.entries) {
     const query::ContinuousQuery& q = *entry.query;
     if (strategy.StoresRewrittenQueries() || adaptive) {
-      bool is_new =
-          state.evaluator.vlqt.InsertOrRefresh(p.level1, value_key, entry);
+      bool is_new = state.evaluator.vlqt.Insert(p.level1, value_key, entry);
       // A refresh (duplicate rewritten key) only advances the trigger
       // time. When tuple arrivals match stored joins unconditionally,
       // every tuple stored between the old and new triggers was already
@@ -243,7 +240,7 @@ void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
     const query::ContinuousQuery& q = *entry.query;
     const int opposite = 1 - entry.trigger_side;
     const auto* bucket =
-        state.evaluator.daiv.Find(value_key, q.key(), opposite);
+        state.evaluator.daiv.Find(value_key, DaivKey{q.key(), opposite});
     if (bucket != nullptr) {
       for (const DaivStored& stored : *bucket) {
         ++state.metrics.filter_ops_value;
@@ -273,7 +270,7 @@ void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
       }
     }
     state.evaluator.daiv.Insert(
-        value_key, q.key(), entry.trigger_side,
+        value_key, DaivKey{q.key(), entry.trigger_side},
         DaivStored{entry.row, entry.trigger_pub, entry.trigger_seq,
                    entry.query});
   }

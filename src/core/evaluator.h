@@ -26,8 +26,9 @@ struct State {
 /// Evaluator-side unsubscription: drops every trace of `query_key`.
 void RemoveQuery(State& state, const std::string& query_key);
 
-/// Sliding-window expiry over the evaluator's value-level state; returns
-/// the number of objects dropped.
+/// Sliding-window expiry over the evaluator's value-level state: tuples,
+/// DAI-V projections and rewritten queries whose latest trigger is older
+/// than `cutoff`. Returns the number of objects dropped.
 size_t ExpireBefore(State& state, rel::Timestamp cutoff);
 
 /// Stale join-fingers entry (§4.7): a join message sent straight to a

@@ -173,13 +173,11 @@ void TriggerAll(ProtocolContext& ctx, chord::Node& node, NodeState& state,
 
 void MatchTupleVl(ProtocolContext& ctx, chord::Node& node, NodeState& state,
                   const TupleIndexPayload& p) {
-  auto l1 = state.mw.vlqt.find(p.level1);
-  if (l1 == state.mw.vlqt.end()) return;
-  auto l2 = l1->second.find(p.value_key);
-  if (l2 == l1->second.end()) return;
+  const auto* bucket = state.mw.vlqt.Find(p.level1, p.value_key);
+  if (bucket == nullptr) return;
   const rel::Tuple& tuple = *p.tuple;
   MwJoinMap next;
-  for (const auto& [partial_key, partial] : l2->second) {
+  for (const auto& [partial_key, partial] : *bucket) {
     ++state.metrics.filter_ops_value;
     const query::MwQuery& q = *partial.query;
     if (tuple.pub_time() < q.insertion_time()) continue;
@@ -218,21 +216,7 @@ void HandleJoin(ProtocolContext& ctx, chord::Node& node,
   ++state.metrics.filter_ops_value;
   MwJoinMap next;
   for (const MwPartial& entry : p.entries) {
-    State::Bucket& bucket = state.mw.vlqt[p.level1][p.value_key];
-    auto it = bucket.find(entry.partial_key);
-    bool is_new = it == bucket.end();
-    if (is_new) {
-      bucket.emplace(entry.partial_key, entry);
-      ++state.mw.vlqt_size;
-    } else {
-      // Identical content: keep the tightest publication span so windowed
-      // matching stays maximally permissive for future tuples.
-      if (entry.min_pub > it->second.min_pub) {
-        it->second.min_pub = entry.min_pub;
-        it->second.max_pub = entry.max_pub;
-        it->second.last_seq = entry.last_seq;
-      }
-    }
+    const bool is_new = state.mw.vlqt.Insert(p.level1, p.value_key, entry);
     if (!is_new && ctx.options().window == 0) continue;
     // Match against already-stored tuples of the target relation/value.
     const auto* tuples = state.evaluator.vltt.Find(p.level1, p.value_key);

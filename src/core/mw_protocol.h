@@ -8,7 +8,6 @@
 #define CONTJOIN_CORE_MW_PROTOCOL_H_
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "chord/types.h"
 #include "core/context.h"
 #include "core/messages.h"
+#include "core/tables.h"
 #include "query/mw_query.h"
 
 namespace contjoin::core {
@@ -28,14 +28,8 @@ struct State {
   /// Multi-way queries indexed at this rewriter, by "R+A#replica".
   std::unordered_map<std::string, std::vector<query::MwQueryPtr>> alqt;
   /// Stored partial bindings: "R+A" -> value -> partial key -> partial.
-  /// Buckets are ordered maps: an arriving tuple iterates a whole bucket
-  /// emitting notifications and next-hop partials, so the order must be
-  /// reproducible.
-  using Bucket = std::map<std::string, MwPartial>;
-  std::unordered_map<std::string, std::unordered_map<std::string, Bucket>>
-      vlqt;
+  MwPartialTable vlqt;
   size_t alqt_size = 0;
-  size_t vlqt_size = 0;
 };
 
 /// Triggers every multi-way query indexed under `mkey` with an arriving

@@ -41,10 +41,6 @@ struct ReliabilityOptions {
   /// First retry fires after base_timeout * max(1, hop_latency) virtual
   /// time units; subsequent retries back off exponentially (x2).
   uint64_t base_timeout = 64;
-
-  /// Run the soft-state repair sweep (index handoff + re-index refresh)
-  /// after scripted churn events.
-  bool repair_on_churn = true;
 };
 
 /// Serving-path knobs (open-loop extension): subscriber fan-out batching
@@ -62,11 +58,6 @@ struct ServingOptions {
   uint64_t high_water = 64;
   bool shed = false;  // false = defer (retry later), true = drop.
   uint64_t defer_delay = 4;
-
-  /// Virtual time one delivery slot stays occupied; with hop_latency h the
-  /// node services ~high_water deliveries per max(1,h)*service_time ticks,
-  /// which is what makes "max sustainable rate" a real capacity question.
-  uint64_t service_time = 1;
 };
 
 struct Options {
@@ -101,10 +92,6 @@ struct Options {
   /// benchmark driver (perfbench/src/workloads.cc) sets it; it goes away
   /// together with that assignment.
   bool track_evaluators = false;
-
-  /// Virtual-time increment applied before each submit/insert so that
-  /// publication/insertion times are strictly ordered.
-  uint64_t time_step = 1;
 
   uint64_t seed = 42;
 

@@ -231,15 +231,9 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   uint64_t split_version = 0;
   const int split =
       prefixed ? 1 : adapt::SplitFor(ctx, state, "", value_key, &split_version);
-  std::vector<int> shards;
-  if (split <= 1) {
-    shards.push_back(0);
-  } else if (s == 0) {
-    shards.push_back(adapt::ShardOf(tuple.seq(), split));
-  } else {
-    for (int j = 0; j < split; ++j) shards.push_back(j);
-  }
-  for (int shard : shards) {
+  const adapt::ShardRange shards =
+      adapt::HomeShards(DaivPlacement(s), tuple.seq(), split);
+  for (int shard = shards.first; shard < shards.last; ++shard) {
     const std::string sub_key = adapt::SubValueKey(value_key, shard, split);
     // Group key: DAI-V groups purely by value (here: per sub-key); the
     // key-prefixed variant separates queries and loses grouping — that

@@ -93,8 +93,9 @@ void ContinuousQueryNetwork::PublishTupleFrom(
       uint64_t split_version = 0;
       const int split = adapt::SplitFor(*this, StateOf(*origin), level1,
                                         base_value, &split_version);
-      vl->value_key = adapt::SubValueKey(
-          base_value, adapt::ShardOf(tuple->seq(), split), split);
+      const adapt::ShardRange shards = adapt::HomeShards(
+          VlttPolicy::PlacementOf(base_value), tuple->seq(), split);
+      vl->value_key = adapt::SubValueKey(base_value, shards.first, split);
       chord::AppMessage vl_msg;
       vl_msg.target = ValueIndexId(tuple->relation(), attr, vl->value_key);
       vl_msg.cls = sim::MsgClass::kTupleIndex;

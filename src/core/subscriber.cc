@@ -13,18 +13,16 @@ namespace contjoin::core::subscriber {
 
 namespace {
 
-/// One delivery occupies an in-flight slot for max(1, hop_latency) *
-/// service_time virtual ticks — the node's service capacity. The release
-/// timer runs on the evaluator's own shard and resolves the node by id so
-/// a crash between occupy and release is harmless.
+/// One delivery occupies an in-flight slot for max(1, hop_latency) virtual
+/// ticks, so a node services ~high_water deliveries per hop latency — the
+/// capacity behind "max sustainable rate". The release timer runs on the
+/// evaluator's own shard and resolves the node by id so a crash between
+/// occupy and release is harmless.
 void OccupySlots(ProtocolContext& ctx, chord::Node& evaluator,
                  uint64_t units) {
-  const ServingOptions& serving = ctx.options().serving;
   State& ev_state = ctx.StateOf(evaluator).subscriber;
   ev_state.inflight += units;
-  const uint64_t hold =
-      std::max<uint64_t>(1, ctx.options().chord.hop_latency) *
-      std::max<uint64_t>(1, serving.service_time);
+  const uint64_t hold = std::max<uint64_t>(1, ctx.options().chord.hop_latency);
   const chord::NodeId ev = evaluator.id();
   ctx.ScheduleAfter(evaluator, hold, [&ctx, ev, units]() {
     chord::Node* node = ctx.NodeById(ev);

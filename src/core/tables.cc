@@ -80,292 +80,181 @@ std::vector<std::string> AttrLevelQueryTable::Level1Keys() const {
   return keys;
 }
 
-// --- ValueLevelQueryTable ----------------------------------------------------
+// --- ValueLevelTable ---------------------------------------------------------
 
-bool ValueLevelQueryTable::InsertOrRefresh(const std::string& level1,
-                                           const std::string& value_key,
-                                           const RewrittenEntry& entry) {
-  Bucket& bucket = map_[level1][value_key];
+template <typename Policy>
+const typename ValueLevelTable<Policy>::Bucket* ValueLevelTable<Policy>::Find(
+    const std::string& level1, const Key2& key2) const {
+  auto l1 = map_.find(level1);
+  if (l1 == map_.end()) return nullptr;
+  auto l2 = l1->second.find(key2);
+  return l2 == l1->second.end() ? nullptr : &l2->second;
+}
+
+template <typename Policy>
+std::vector<typename ValueLevelTable<Policy>::Coord>
+ValueLevelTable<Policy>::BucketKeys() const {
+  std::vector<Coord> keys;
+  // contjoin-check: ordered-ok(keys are collected and sorted below)
+  for (const auto& [level1, by_key2] : map_) {
+    // contjoin-check: ordered-ok(keys are collected and sorted below)
+    for (const auto& [key2, bucket] : by_key2) keys.emplace_back(level1, key2);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+template <typename Policy>
+typename ValueLevelTable<Policy>::Bucket ValueLevelTable<Policy>::TakeBucket(
+    const std::string& level1, const Key2& key2) {
+  auto l1 = map_.find(level1);
+  if (l1 == map_.end()) return {};
+  auto l2 = l1->second.find(key2);
+  if (l2 == l1->second.end()) return {};
+  Bucket out = std::move(l2->second);
+  size_ -= out.size();
+  l1->second.erase(l2);
+  if (l1->second.empty()) map_.erase(l1);
+  return out;
+}
+
+template <typename Policy>
+void ValueLevelTable<Policy>::AbsorbBucket(const std::string& level1,
+                                           const Key2& key2, Bucket bucket) {
+  if (bucket.empty()) return;
+  Bucket& dst = map_[level1][key2];
+  for (auto& entry : bucket) {
+    if (Policy::Insert(dst, std::move(entry))) ++size_;
+  }
+}
+
+template <typename Policy>
+template <typename EraseFn>
+size_t ValueLevelTable<Policy>::EraseFrom(EraseFn erase) {
+  size_t dropped = 0;
+  for (auto l1 = map_.begin(); l1 != map_.end();) {
+    dropped += erase(l1->second);
+    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
+  }
+  size_ -= dropped;
+  return dropped;
+}
+
+template <typename Policy>
+template <typename Pred>
+size_t ValueLevelTable<Policy>::EraseIf(Pred pred) {
+  return EraseFrom([&pred](ByKey2& by_key2) {
+    size_t dropped = 0;
+    for (auto l2 = by_key2.begin(); l2 != by_key2.end();) {
+      dropped += std::erase_if(l2->second, pred);
+      l2 = l2->second.empty() ? by_key2.erase(l2) : std::next(l2);
+    }
+    return dropped;
+  });
+}
+
+template <typename Policy>
+size_t ValueLevelTable<Policy>::ExpireBefore(rel::Timestamp cutoff) {
+  return EraseIf([cutoff](const typename Bucket::value_type& e) {
+    return Policy::TimeOf(e) < cutoff;
+  });
+}
+
+template <typename Policy>
+size_t ValueLevelTable<Policy>::RemoveQuery(const std::string& query_key)
+  requires(requires(const typename Bucket::value_type& e) {
+    Policy::QueryKeyOf(e);
+  } || requires(const std::string& k) { Policy::KeysOf(k); })
+{
+  if constexpr (requires { Policy::KeysOf(query_key); }) {
+    const auto keys = Policy::KeysOf(query_key);
+    return EraseFrom([&keys](ByKey2& by_key2) {
+      size_t dropped = 0;
+      for (const Key2& key : keys) {
+        auto l2 = by_key2.find(key);
+        if (l2 == by_key2.end()) continue;
+        dropped += l2->second.size();
+        by_key2.erase(l2);
+      }
+      return dropped;
+    });
+  } else {
+    return EraseIf([&query_key](const typename Bucket::value_type& e) {
+      return Policy::QueryKeyOf(e) == query_key;
+    });
+  }
+}
+
+// --- Insert rules ------------------------------------------------------------
+
+namespace {
+
+/// Advances a stored rewritten query's trigger to (pub, seq) if newer.
+void Refresh(StoredRewritten& stored, rel::Timestamp pub, uint64_t seq) {
+  if (pub > stored.latest_trigger_pub ||
+      (pub == stored.latest_trigger_pub && seq > stored.latest_trigger_seq)) {
+    stored.latest_trigger_pub = pub;
+    stored.latest_trigger_seq = seq;
+  }
+}
+
+}  // namespace
+
+bool VlqtPolicy::Insert(Bucket& bucket, const RewrittenEntry& entry) {
   auto it = bucket.lower_bound(entry.rewritten_id);
   if (it != bucket.end() && it->first == entry.rewritten_id) {
     // Same rewritten query: only the trigger time advances (§4.3.3).
-    if (entry.trigger_pub > it->second.latest_trigger_pub ||
-        (entry.trigger_pub == it->second.latest_trigger_pub &&
-         entry.trigger_seq > it->second.latest_trigger_seq)) {
-      it->second.latest_trigger_pub = entry.trigger_pub;
-      it->second.latest_trigger_seq = entry.trigger_seq;
-    }
+    Refresh(it->second, entry.trigger_pub, entry.trigger_seq);
     return false;
   }
-  StoredRewritten stored;
-  stored.query = entry.query;
-  stored.remaining_side = entry.remaining_side;
-  stored.required_value = entry.required_value;
-  stored.row = entry.row;
-  stored.latest_trigger_pub = entry.trigger_pub;
-  stored.latest_trigger_seq = entry.trigger_seq;
-  bucket.emplace_hint(it, entry.rewritten_id, std::move(stored));
-  ++size_;
+  bucket.emplace_hint(
+      it, entry.rewritten_id,
+      StoredRewritten{entry.query, entry.remaining_side, entry.required_value,
+                      entry.row, entry.trigger_pub, entry.trigger_seq});
   return true;
 }
 
-const ValueLevelQueryTable::Bucket* ValueLevelQueryTable::Find(
-    const std::string& level1, const std::string& value_key) const {
-  auto l1 = map_.find(level1);
-  if (l1 == map_.end()) return nullptr;
-  auto l2 = l1->second.find(value_key);
-  return l2 == l1->second.end() ? nullptr : &l2->second;
-}
-
-std::vector<std::pair<std::string, std::string>>
-ValueLevelQueryTable::BucketKeys() const {
-  std::vector<std::pair<std::string, std::string>> keys;
-  // contjoin-check: ordered-ok(keys are collected and sorted below)
-  for (const auto& [level1, by_value] : map_) {
-    // contjoin-check: ordered-ok(keys are collected and sorted below)
-    for (const auto& [value_key, bucket] : by_value) {
-      keys.emplace_back(level1, value_key);
-    }
+bool VlqtPolicy::Insert(Bucket& bucket, Entry&& entry) {
+  auto [it, is_new] = bucket.try_emplace(entry.first, std::move(entry.second));
+  if (!is_new) {
+    Refresh(it->second, entry.second.latest_trigger_pub,
+            entry.second.latest_trigger_seq);
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  return is_new;
 }
 
-ValueLevelQueryTable::Bucket ValueLevelQueryTable::TakeBucket(
-    const std::string& level1, const std::string& value_key) {
-  auto l1 = map_.find(level1);
-  if (l1 == map_.end()) return {};
-  auto l2 = l1->second.find(value_key);
-  if (l2 == l1->second.end()) return {};
-  Bucket out = std::move(l2->second);
-  size_ -= out.size();
-  l1->second.erase(l2);
-  if (l1->second.empty()) map_.erase(l1);
-  return out;
-}
-
-void ValueLevelQueryTable::AbsorbBucket(const std::string& level1,
-                                        const std::string& value_key,
-                                        Bucket bucket) {
-  Bucket& dst = map_[level1][value_key];
-  for (auto& [id, stored] : bucket) {
-    auto it = dst.find(id);
-    if (it == dst.end()) {
-      dst.emplace(id, std::move(stored));
-      ++size_;
-    } else if (stored.latest_trigger_pub > it->second.latest_trigger_pub ||
-               (stored.latest_trigger_pub == it->second.latest_trigger_pub &&
-                stored.latest_trigger_seq > it->second.latest_trigger_seq)) {
-      it->second.latest_trigger_pub = stored.latest_trigger_pub;
-      it->second.latest_trigger_seq = stored.latest_trigger_seq;
-    }
-  }
-}
-
-size_t ValueLevelQueryTable::RemoveQuery(const std::string& query_key) {
-  size_t removed = 0;
-  for (auto l1 = map_.begin(); l1 != map_.end();) {
-    for (auto l2 = l1->second.begin(); l2 != l1->second.end();) {
-      Bucket& bucket = l2->second;
-      for (auto it = bucket.begin(); it != bucket.end();) {
-        if (it->second.query->key() == query_key) {
-          it = bucket.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-      l2 = bucket.empty() ? l1->second.erase(l2) : std::next(l2);
-    }
-    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
-  }
-  size_ -= removed;
-  return removed;
-}
-
-// --- ValueLevelTupleTable -----------------------------------------------------
-
-void ValueLevelTupleTable::Insert(const std::string& level1,
-                                  const std::string& value_key,
-                                  StoredTuple stored) {
-  Bucket& bucket = map_[level1][value_key];
+bool VlttPolicy::Insert(Bucket& bucket, StoredTuple stored) {
   for (const StoredTuple& existing : bucket) {
     if (existing.tuple->seq() == stored.tuple->seq() &&
         existing.index_attr == stored.index_attr) {
-      return;  // Retried or replayed publication: already stored.
+      return false;  // Retried or replayed publication: already stored.
     }
   }
   bucket.push_back(std::move(stored));
-  ++size_;
+  return true;
 }
 
-std::vector<std::pair<std::string, std::string>>
-ValueLevelTupleTable::BucketKeys() const {
-  std::vector<std::pair<std::string, std::string>> keys;
-  // contjoin-check: ordered-ok(keys are collected and sorted below)
-  for (const auto& [level1, by_value] : map_) {
-    // contjoin-check: ordered-ok(keys are collected and sorted below)
-    for (const auto& [value_key, bucket] : by_value) {
-      keys.emplace_back(level1, value_key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-ValueLevelTupleTable::Bucket ValueLevelTupleTable::TakeBucket(
-    const std::string& level1, const std::string& value_key) {
-  auto l1 = map_.find(level1);
-  if (l1 == map_.end()) return {};
-  auto l2 = l1->second.find(value_key);
-  if (l2 == l1->second.end()) return {};
-  Bucket out = std::move(l2->second);
-  size_ -= out.size();
-  l1->second.erase(l2);
-  if (l1->second.empty()) map_.erase(l1);
-  return out;
-}
-
-void ValueLevelTupleTable::AbsorbBucket(const std::string& level1,
-                                        const std::string& value_key,
-                                        Bucket bucket) {
-  for (StoredTuple& stored : bucket) {
-    Insert(level1, value_key, std::move(stored));
-  }
-}
-
-const ValueLevelTupleTable::Bucket* ValueLevelTupleTable::Find(
-    const std::string& level1, const std::string& value_key) const {
-  auto l1 = map_.find(level1);
-  if (l1 == map_.end()) return nullptr;
-  auto l2 = l1->second.find(value_key);
-  return l2 == l1->second.end() ? nullptr : &l2->second;
-}
-
-size_t ValueLevelTupleTable::ExpireBefore(rel::Timestamp cutoff) {
-  size_t dropped = 0;
-  for (auto l1 = map_.begin(); l1 != map_.end();) {
-    for (auto l2 = l1->second.begin(); l2 != l1->second.end();) {
-      Bucket& bucket = l2->second;
-      for (auto it = bucket.begin(); it != bucket.end();) {
-        if (it->tuple->pub_time() < cutoff) {
-          it = bucket.erase(it);
-          ++dropped;
-        } else {
-          ++it;
-        }
-      }
-      l2 = bucket.empty() ? l1->second.erase(l2) : std::next(l2);
-    }
-    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
-  }
-  size_ -= dropped;
-  return dropped;
-}
-
-// --- DaivStore ---------------------------------------------------------------
-
-void DaivStore::Insert(const std::string& value_key,
-                       const std::string& query_key, int side,
-                       DaivStored stored) {
-  Bucket& bucket = map_[value_key][SubKey(query_key, side)];
+bool DaivPolicy::Insert(Bucket& bucket, DaivStored stored) {
   for (const DaivStored& existing : bucket) {
-    if (existing.seq == stored.seq) return;  // Retried projection.
+    if (existing.seq == stored.seq) return false;  // Retried projection.
   }
   bucket.push_back(std::move(stored));
-  ++size_;
+  return true;
 }
 
-std::vector<std::pair<std::string, std::string>> DaivStore::BucketKeys()
-    const {
-  std::vector<std::pair<std::string, std::string>> keys;
-  // contjoin-check: ordered-ok(keys are collected and sorted below)
-  for (const auto& [value_key, by_sub] : map_) {
-    // contjoin-check: ordered-ok(keys are collected and sorted below)
-    for (const auto& [sub_key, bucket] : by_sub) {
-      keys.emplace_back(value_key, sub_key);
-    }
+bool MwPartialPolicy::Insert(Bucket& bucket, const MwPartial& partial) {
+  auto [it, is_new] = bucket.try_emplace(partial.partial_key, partial);
+  if (!is_new && partial.min_pub > it->second.min_pub) {
+    it->second.min_pub = partial.min_pub;
+    it->second.max_pub = partial.max_pub;
+    it->second.last_seq = partial.last_seq;
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  return is_new;
 }
 
-DaivStore::Bucket DaivStore::TakeBucket(const std::string& value_key,
-                                        const std::string& sub_key) {
-  auto l1 = map_.find(value_key);
-  if (l1 == map_.end()) return {};
-  auto l2 = l1->second.find(sub_key);
-  if (l2 == l1->second.end()) return {};
-  Bucket out = std::move(l2->second);
-  size_ -= out.size();
-  l1->second.erase(l2);
-  if (l1->second.empty()) map_.erase(l1);
-  return out;
-}
-
-void DaivStore::AbsorbBucket(const std::string& value_key,
-                             const std::string& sub_key, Bucket bucket) {
-  Bucket& dst = map_[value_key][sub_key];
-  for (DaivStored& stored : bucket) {
-    bool dup = false;
-    for (const DaivStored& existing : dst) {
-      if (existing.seq == stored.seq) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      dst.push_back(std::move(stored));
-      ++size_;
-    }
-  }
-}
-
-const DaivStore::Bucket* DaivStore::Find(const std::string& value_key,
-                                         const std::string& query_key,
-                                         int side) const {
-  auto l1 = map_.find(value_key);
-  if (l1 == map_.end()) return nullptr;
-  auto l2 = l1->second.find(SubKey(query_key, side));
-  return l2 == l1->second.end() ? nullptr : &l2->second;
-}
-
-size_t DaivStore::ExpireBefore(rel::Timestamp cutoff) {
-  size_t dropped = 0;
-  for (auto l1 = map_.begin(); l1 != map_.end();) {
-    for (auto l2 = l1->second.begin(); l2 != l1->second.end();) {
-      Bucket& bucket = l2->second;
-      for (auto it = bucket.begin(); it != bucket.end();) {
-        if (it->pub_time < cutoff) {
-          it = bucket.erase(it);
-          ++dropped;
-        } else {
-          ++it;
-        }
-      }
-      l2 = bucket.empty() ? l1->second.erase(l2) : std::next(l2);
-    }
-    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
-  }
-  size_ -= dropped;
-  return dropped;
-}
-
-size_t DaivStore::RemoveQuery(const std::string& query_key) {
-  std::string keys[2] = {SubKey(query_key, 0), SubKey(query_key, 1)};
-  size_t removed = 0;
-  for (auto l1 = map_.begin(); l1 != map_.end();) {
-    for (const std::string& key : keys) {
-      auto l2 = l1->second.find(key);
-      if (l2 != l1->second.end()) {
-        removed += l2->second.size();
-        l1->second.erase(l2);
-      }
-    }
-    l1 = l1->second.empty() ? map_.erase(l1) : std::next(l1);
-  }
-  size_ -= removed;
-  return removed;
-}
+template class ValueLevelTable<VlqtPolicy>;
+template class ValueLevelTable<VlttPolicy>;
+template class ValueLevelTable<DaivPolicy>;
+template class ValueLevelTable<MwPartialPolicy>;
 
 }  // namespace contjoin::core

@@ -22,6 +22,7 @@
 #include "core/metrics.h"
 #include "core/rewriter.h"
 #include "core/state.h"
+#include "query/parser.h"
 #include "relational/schema.h"
 
 namespace contjoin::core {
@@ -183,16 +184,55 @@ TEST(EvaluatorExpiry, DropsOnlyTuplesOlderThanCutoff) {
         "R", std::vector<rel::Value>{rel::Value::Int(7)}, pub, seq);
     return s;
   };
+  rel::Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .Register(rel::RelationSchema(
+                      "R", {{"A", rel::ValueType::kInt}}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .Register(rel::RelationSchema(
+                      "S", {{"E", rel::ValueType::kInt}}))
+                  .ok());
+  auto parsed =
+      query::ParseQuery("SELECT R.A, S.E FROM R, S WHERE R.A = S.E", catalog);
+  ASSERT_TRUE(parsed.ok());
+  parsed.value().set_key("q1");
+  auto q1 = std::make_shared<const query::ContinuousQuery>(
+      std::move(parsed).value());
+  // A rewritten query expires with its latest trigger.
+  auto rewritten_at = [&](rel::Timestamp pub, uint64_t seq, int64_t bound) {
+    RewrittenEntry e;
+    e.query = q1;
+    e.remaining_side = 1;
+    e.required_value = rel::Value::Int(7);
+    e.row = {rel::Value::Int(bound), std::nullopt};
+    e.rewritten_id =
+        RewriteIdOf("q1", e.remaining_side, e.row, e.required_value);
+    e.trigger_pub = pub;
+    e.trigger_seq = seq;
+    return e;
+  };
   state.vltt.Insert("R+A", "7", stored_at(5, 1));
   state.vltt.Insert("R+A", "7", stored_at(50, 2));
-  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/5, /*seq=*/3,
-                                              /*query=*/nullptr});
-  state.daiv.Insert("7", "q1", 0, DaivStored{{}, /*pub_time=*/50, /*seq=*/4,
-                                              /*query=*/nullptr});
+  state.daiv.Insert("7", DaivKey{"q1", 0},
+                    DaivStored{{}, /*pub_time=*/5, /*seq=*/3, q1});
+  state.daiv.Insert("7", DaivKey{"q1", 0},
+                    DaivStored{{}, /*pub_time=*/50, /*seq=*/4, q1});
+  state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/5, /*seq=*/5, 1));
+  state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/50, /*seq=*/6, 2));
+  // Refreshed past the cutoff: the refresh keeps it.
+  state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/8, /*seq=*/7, 3));
+  state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/40, /*seq=*/8, 3));
 
-  EXPECT_EQ(evaluator::ExpireBefore(state, /*cutoff=*/20), 2u);
+  EXPECT_EQ(evaluator::ExpireBefore(state, /*cutoff=*/20), 3u);
   EXPECT_EQ(state.vltt.size(), 1u);
   EXPECT_EQ(state.daiv.size(), 1u);
+  EXPECT_EQ(state.vlqt.size(), 2u);
+  const auto* rewritten = state.vlqt.Find("S+E", "7");
+  ASSERT_NE(rewritten, nullptr);
+  for (const auto& [id, stored] : *rewritten) {
+    EXPECT_GE(stored.latest_trigger_pub, 20u);
+  }
 
   // Survivors are the fresh ones.
   const auto* bucket = state.vltt.Find("R+A", "7");

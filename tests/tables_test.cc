@@ -115,9 +115,9 @@ TEST_F(TablesTest, VlqtDedupByRewrittenKey) {
   auto q = MakeQuery("n1#0");
   const RewrittenEntry first = MakeEntry(q, 1, 10, 1);
   const RewrittenEntry second = MakeEntry(q, 2, 15, 3);
-  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", first));
-  EXPECT_FALSE(vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 1, 20, 2)));
-  EXPECT_TRUE(vlqt.InsertOrRefresh("S+E", "7", second));
+  EXPECT_TRUE(vlqt.Insert("S+E", "7", first));
+  EXPECT_FALSE(vlqt.Insert("S+E", "7", MakeEntry(q, 1, 20, 2)));
+  EXPECT_TRUE(vlqt.Insert("S+E", "7", second));
   EXPECT_EQ(vlqt.size(), 2u);
 
   const auto* bucket = vlqt.Find("S+E", "7");
@@ -131,8 +131,8 @@ TEST_F(TablesTest, VlqtRefreshNeverRewindsTime) {
   ValueLevelQueryTable vlqt;
   auto q = MakeQuery("n1#0");
   const RewrittenEntry later = MakeEntry(q, 1, 20, 5);
-  vlqt.InsertOrRefresh("S+E", "7", later);
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 1, 10, 1));
+  vlqt.Insert("S+E", "7", later);
+  vlqt.Insert("S+E", "7", MakeEntry(q, 1, 10, 1));
   EXPECT_EQ(vlqt.Find("S+E", "7")->at(later.rewritten_id).latest_trigger_pub,
             20u);
 }
@@ -141,21 +141,21 @@ TEST_F(TablesTest, VlqtRemoveQuery) {
   ValueLevelQueryTable vlqt;
   auto q1 = MakeQuery("n1#0");
   auto q2 = MakeQuery("n2#0");
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q1, 1, 1, 1));
-  vlqt.InsertOrRefresh("S+E", "8", MakeEntry(q1, 2, 2, 2));
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q2, 3, 3, 3));
+  vlqt.Insert("S+E", "7", MakeEntry(q1, 1, 1, 1));
+  vlqt.Insert("S+E", "8", MakeEntry(q1, 2, 2, 2));
+  vlqt.Insert("S+E", "7", MakeEntry(q2, 3, 3, 3));
   EXPECT_EQ(vlqt.RemoveQuery("n1#0"), 2u);
   EXPECT_EQ(vlqt.size(), 1u);
   EXPECT_EQ(vlqt.Find("S+E", "8"), nullptr);
 }
 
 // A bucket iterates in ascending id order whatever the arrival order, and
-// a handed-off bucket merges by id like InsertOrRefresh.
+// a handed-off bucket merges by id like Insert.
 TEST_F(TablesTest, VlqtBucketIsOrderedByIdAndAbsorbsById) {
   ValueLevelQueryTable vlqt;
   auto q = MakeQuery("n1#0");
   for (int64_t bound = 0; bound < 8; ++bound) {
-    vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, bound, 10, 1));
+    vlqt.Insert("S+E", "7", MakeEntry(q, bound, 10, 1));
   }
   const auto* bucket = vlqt.Find("S+E", "7");
   ASSERT_NE(bucket, nullptr);
@@ -168,7 +168,7 @@ TEST_F(TablesTest, VlqtBucketIsOrderedByIdAndAbsorbsById) {
 
   ValueLevelQueryTable::Bucket moved = vlqt.TakeBucket("S+E", "7");
   EXPECT_EQ(vlqt.size(), 0u);
-  vlqt.InsertOrRefresh("S+E", "7", MakeEntry(q, 3, 30, 2));
+  vlqt.Insert("S+E", "7", MakeEntry(q, 3, 30, 2));
   vlqt.AbsorbBucket("S+E", "7", std::move(moved));
   EXPECT_EQ(vlqt.size(), 8u);
   const RewrittenEntry three = MakeEntry(q, 3, 0, 0);
@@ -200,25 +200,28 @@ TEST_F(TablesTest, VlttInsertFindExpire) {
 
 TEST_F(TablesTest, DaivStoreSidesAreSeparate) {
   DaivStore store;
-  store.Insert("25", "q1", 0,
-               DaivStored{{rel::Value::Int(1)}, 10, 1, nullptr});
-  store.Insert("25", "q1", 1,
-               DaivStored{{rel::Value::Int(2)}, 11, 2, nullptr});
-  store.Insert("25", "q2", 0,
-               DaivStored{{rel::Value::Int(3)}, 12, 3, nullptr});
+  auto q1 = MakeQuery("q1");
+  auto q2 = MakeQuery("q2");
+  store.Insert("25", DaivKey{"q1", 0},
+               DaivStored{{rel::Value::Int(1)}, 10, 1, q1});
+  store.Insert("25", DaivKey{"q1", 1},
+               DaivStored{{rel::Value::Int(2)}, 11, 2, q1});
+  store.Insert("25", DaivKey{"q2", 0},
+               DaivStored{{rel::Value::Int(3)}, 12, 3, q2});
   EXPECT_EQ(store.size(), 3u);
-  ASSERT_NE(store.Find("25", "q1", 0), nullptr);
-  EXPECT_EQ(store.Find("25", "q1", 0)->size(), 1u);
-  EXPECT_EQ(store.Find("25", "q1", 1)->size(), 1u);
-  EXPECT_EQ(store.Find("26", "q1", 0), nullptr);
-  EXPECT_EQ(store.Find("25", "q3", 0), nullptr);
+  ASSERT_NE(store.Find("25", DaivKey{"q1", 0}), nullptr);
+  EXPECT_EQ(store.Find("25", DaivKey{"q1", 0})->size(), 1u);
+  EXPECT_EQ(store.Find("25", DaivKey{"q1", 1})->size(), 1u);
+  EXPECT_EQ(store.Find("26", DaivKey{"q1", 0}), nullptr);
+  EXPECT_EQ(store.Find("25", DaivKey{"q3", 0}), nullptr);
 }
 
 TEST_F(TablesTest, DaivStoreExpireAndRemove) {
   DaivStore store;
-  store.Insert("25", "q1", 0, DaivStored{{}, 10, 1, nullptr});
-  store.Insert("25", "q1", 0, DaivStored{{}, 30, 2, nullptr});
-  store.Insert("30", "q1", 1, DaivStored{{}, 40, 3, nullptr});
+  auto q1 = MakeQuery("q1");
+  store.Insert("25", DaivKey{"q1", 0}, DaivStored{{}, 10, 1, q1});
+  store.Insert("25", DaivKey{"q1", 0}, DaivStored{{}, 30, 2, q1});
+  store.Insert("30", DaivKey{"q1", 1}, DaivStored{{}, 40, 3, q1});
   EXPECT_EQ(store.ExpireBefore(20), 1u);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.RemoveQuery("q1"), 2u);
