@@ -2,14 +2,41 @@
 // one tuple insertion (full cascade: indexing, rewriting, evaluation,
 // delivery) per algorithm, of query submission and of unsubscription. Not
 // a paper figure; documents the simulator's real-time capacity.
+// BM_InsertTuple also reports heap allocations per insertion
+// (`allocs_per_insert`), counted by the global operator new below.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 
 #include "common/rng.h"
 #include "core/engine.h"
+
+namespace {
+
+/// Calls of the global operator new (plain and array) so far, all threads.
+std::atomic<uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace contjoin;
 
@@ -47,6 +74,7 @@ void BM_InsertTuple(benchmark::State& state) {
   auto net = MakeLoadedNet(alg, 100);
   Rng rng(2);
   int64_t i = 0;
+  const uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     bool is_r = (i & 1) == 0;
     benchmark::DoNotOptimize(net->InsertTuple(
@@ -60,6 +88,10 @@ void BM_InsertTuple(benchmark::State& state) {
       }
     }
   }
+  state.counters["allocs_per_insert"] = benchmark::Counter(
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
+                          allocs_before),
+      benchmark::Counter::kAvgIterations);
   state.SetLabel(core::AlgorithmName(alg));
 }
 BENCHMARK(BM_InsertTuple)->Arg(0)->Arg(1)->Arg(2)->Arg(3);

@@ -132,9 +132,7 @@ std::vector<RewrittenEntry> BucketToEntries(
     entry.remaining_side = sr.remaining_side;
     entry.rewritten_id = id;
     entry.required_value = sr.required_value;
-    entry.row = sr.row;
-    entry.trigger_pub = sr.latest_trigger_pub;
-    entry.trigger_seq = sr.latest_trigger_seq;
+    entry.trigger = sr.trigger;
     entries.push_back(std::move(entry));
   }
   return entries;
@@ -178,9 +176,7 @@ DaivEntry RebuildDaivEntry(const DaivStored& stored, int side) {
   DaivEntry entry;
   entry.query = stored.query;
   entry.trigger_side = side;
-  entry.row = stored.row;
-  entry.trigger_pub = stored.pub_time;
-  entry.trigger_seq = stored.seq;
+  entry.trigger = stored.tuple;
   return entry;
 }
 
@@ -223,8 +219,8 @@ void SweepFamily(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     if (value_key != base) continue;
     DaivStore::Bucket bucket = state.evaluator.daiv.TakeBucket(base, key2);
     for (const DaivStored& stored : bucket) {
-      const ShardRange shards =
-          HomeShards(DaivPolicy::PlacementOf(key2), stored.seq, split);
+      const ShardRange shards = HomeShards(DaivPolicy::PlacementOf(key2),
+                                           DaivPolicy::SeqOf(stored), split);
       for (int j = shards.first; j < shards.last; ++j) {
         by_target[la::ShardValueKey(base, j, split)].push_back(
             RebuildDaivEntry(stored, key2.side));
@@ -420,7 +416,7 @@ void RedispatchDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   std::map<std::string, std::vector<DaivEntry>> by_target;
   for (const DaivEntry& entry : p.entries) {
     const ShardRange shards = HomeShards(DaivPlacement(entry.trigger_side),
-                                         entry.trigger_seq, split);
+                                         entry.trigger->seq(), split);
     for (int j = shards.first; j < shards.last; ++j) {
       by_target[la::ShardValueKey(base, j, split)].push_back(entry);
     }

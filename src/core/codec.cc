@@ -78,6 +78,56 @@ bool ReadRow(wire::Reader& r, RowTemplate* out) {
   return r.ok();
 }
 
+/// True when `a` and `b` would encode to the same bytes.
+bool Identical(const rel::Value& a, const rel::Value& b) {
+  return a.type() == b.type() && a == b;
+}
+
+/// A rewritten query's trigger tuple as a kJoin or kDaivJoin entry ships
+/// it: a WriteRow row of `q`'s select list, bound at the items of side
+/// `side` and unbound elsewhere, then the tuple's (pub, seq). Only the
+/// projection travels.
+// contjoin-check: hot
+void WriteTrigger(wire::Writer& w, const query::ContinuousQuery& q, int side,
+                  const rel::Tuple& trigger) {
+  w.U32(static_cast<uint32_t>(q.select().size()));
+  for (const query::SelectItem& item : q.select()) {
+    const bool bound = item.ref.side == side;
+    w.Bool(bound);
+    if (bound) WriteValue(w, trigger.at(item.ref.attr_index));
+  }
+  w.U64(trigger.pub_time());
+  w.U64(trigger.seq());
+}
+
+/// Reads what WriteTrigger wrote and rebuilds a tuple of side `side`'s
+/// relation from it: the shipped values at their attributes, null
+/// elsewhere, and the shipped (pub, seq). nullptr unless the row is
+/// exactly such a projection: one slot per select item, bound at the
+/// side's items and only there, and one value per attribute.
+rel::TuplePtr ReadTrigger(wire::Reader& r, const query::ContinuousQuery& q,
+                          int side) {
+  const std::vector<query::SelectItem>& select = q.select();
+  if (r.U32() != select.size()) return nullptr;
+  const query::QuerySide& trigger_side = q.side(side);
+  std::vector<rel::Value> values(trigger_side.schema->arity());
+  std::vector<bool> bound(values.size(), false);
+  for (const query::SelectItem& item : select) {
+    if (r.Bool() != (item.ref.side == side)) return nullptr;
+    if (item.ref.side != side) continue;
+    rel::Value v = ReadValue(r);
+    const size_t attr = item.ref.attr_index;
+    if (bound[attr] && !Identical(values[attr], v)) return nullptr;
+    bound[attr] = true;
+    values[attr] = std::move(v);
+  }
+  const rel::Timestamp pub_time = r.U64();
+  const uint64_t seq = r.U64();
+  if (!r.ok()) return nullptr;
+  return std::make_shared<const rel::Tuple>(trigger_side.relation,
+                                            std::move(values), pub_time, seq);
+}
+
 void WriteTuple(wire::Writer& w, const rel::Tuple& t) {
   w.Str(t.relation());
   w.U32(static_cast<uint32_t>(t.arity()));
@@ -234,7 +284,7 @@ void WriteRewrittenKeyStr(wire::Writer& w, const RewrittenEntry& e) {
   const size_t length_at = w.size();
   w.U32(0);
   auto write = [&w](std::string_view piece) { w.Raw(piece); };
-  WriteRewrittenKey(write, e.query->key(), e.remaining_side, e.row,
+  WriteRewrittenKey(write, *e.query, e.remaining_side, *e.trigger,
                     e.required_value);
   w.PatchU32(length_at, static_cast<uint32_t>(w.size() - length_at - 4));
 }
@@ -250,7 +300,7 @@ bool RewrittenKeyMatches(std::string_view shipped, const RewrittenEntry& e) {
            shipped.substr(pos, piece.size()) == piece;
     pos += piece.size();
   };
-  WriteRewrittenKey(compare, e.query->key(), e.remaining_side, e.row,
+  WriteRewrittenKey(compare, *e.query, e.remaining_side, *e.trigger,
                     e.required_value);
   return same && pos == shipped.size();
 }
@@ -261,14 +311,12 @@ bool EncodeJoin(const CqPayload& payload, wire::Writer& w) {
   w.Str(p.value_key);
   w.U32(static_cast<uint32_t>(p.entries.size()));
   for (const RewrittenEntry& e : p.entries) {
-    if (e.query == nullptr) return false;
+    if (e.query == nullptr || e.trigger == nullptr) return false;
     WriteQuery(w, *e.query);
     w.U8(static_cast<uint8_t>(e.remaining_side));
     WriteRewrittenKeyStr(w, e);
     WriteValue(w, e.required_value);
-    WriteRow(w, e.row);
-    w.U64(e.trigger_pub);
-    w.U64(e.trigger_seq);
+    WriteTrigger(w, *e.query, 1 - e.remaining_side, *e.trigger);
   }
   w.Id(p.rewriter);
   w.Id(p.vindex);
@@ -294,11 +342,10 @@ std::shared_ptr<const CqPayload> DecodeJoin(CqMsgType, wire::Reader& r,
     if (e.remaining_side > 1) return nullptr;
     const std::string shipped_key = r.Str();
     e.required_value = ReadValue(r);
-    if (!ReadRow(r, &e.row)) return nullptr;
-    e.trigger_pub = r.U64();
-    e.trigger_seq = r.U64();
+    e.trigger = ReadTrigger(r, *e.query, 1 - e.remaining_side);
+    if (e.trigger == nullptr) return nullptr;
     if (!RewrittenKeyMatches(shipped_key, e)) return nullptr;
-    e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+    e.rewritten_id = RewriteIdOf(*e.query, e.remaining_side, *e.trigger,
                                  e.required_value);
     p->entries.push_back(std::move(e));
   }
@@ -315,12 +362,10 @@ bool EncodeDaivJoin(const CqPayload& payload, wire::Writer& w) {
   w.Str(p.value_key);
   w.U32(static_cast<uint32_t>(p.entries.size()));
   for (const DaivEntry& e : p.entries) {
-    if (e.query == nullptr) return false;
+    if (e.query == nullptr || e.trigger == nullptr) return false;
     WriteQuery(w, *e.query);
     w.U8(static_cast<uint8_t>(e.trigger_side));
-    WriteRow(w, e.row);
-    w.U64(e.trigger_pub);
-    w.U64(e.trigger_seq);
+    WriteTrigger(w, *e.query, e.trigger_side, *e.trigger);
   }
   w.Id(p.rewriter);
   w.Id(p.vindex);
@@ -342,9 +387,9 @@ std::shared_ptr<const CqPayload> DecodeDaivJoin(CqMsgType, wire::Reader& r,
     e.query = ReadQuery(r, catalog);
     if (e.query == nullptr) return nullptr;
     e.trigger_side = r.U8();
-    if (!ReadRow(r, &e.row)) return nullptr;
-    e.trigger_pub = r.U64();
-    e.trigger_seq = r.U64();
+    if (e.trigger_side > 1) return nullptr;
+    e.trigger = ReadTrigger(r, *e.query, e.trigger_side);
+    if (e.trigger == nullptr) return nullptr;
     p->entries.push_back(std::move(e));
   }
   p->rewriter = r.Id();

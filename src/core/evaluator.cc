@@ -26,20 +26,6 @@ size_t ExpireBefore(State& state, rel::Timestamp cutoff) {
 
 namespace {
 
-/// Completes a row template with the remaining side's select values.
-RowTemplate MergeRow(const RowTemplate& partial,
-                     const query::ContinuousQuery& q, int remaining_side,
-                     const rel::Tuple& tuple) {
-  RowTemplate merged = partial;
-  for (size_t i = 0; i < q.select().size(); ++i) {
-    const query::SelectItem& item = q.select()[i];
-    if (item.ref.side == remaining_side) {
-      merged[i] = tuple.at(item.ref.attr_index);
-    }
-  }
-  return merged;
-}
-
 /// Fills the rewriter's JFRT when it asked for an ack (one control hop).
 template <typename PayloadT>
 void MaybeAckJfrt(ProtocolContext& ctx, chord::Node& node, const PayloadT& p) {
@@ -110,6 +96,7 @@ void HandleJoin(ProtocolContext& ctx, chord::Node& node,
       adaptive ? adapt::BaseValueOf(p.value_key) : p.value_key;
   for (const RewrittenEntry& entry : p.entries) {
     const query::ContinuousQuery& q = *entry.query;
+    const rel::Tuple& trigger = *entry.trigger;
     if (strategy.StoresRewrittenQueries() || adaptive) {
       bool is_new = state.evaluator.vlqt.Insert(p.level1, value_key, entry);
       // A refresh (duplicate rewritten key) only advances the trigger
@@ -130,7 +117,7 @@ void HandleJoin(ProtocolContext& ctx, chord::Node& node,
       ++state.metrics.filter_ops_value;
       const rel::Tuple& t2 = *st.tuple;
       if (strategy.RequiresStrictlyOlderStored() &&
-          !t2.Before(entry.trigger_pub, entry.trigger_seq)) {
+          !t2.Before(trigger.pub_time(), trigger.seq())) {
         // The strict "stored older than trigger" rule makes each pair the
         // responsibility of exactly one of the two rewriters (§4.4.2).
         continue;
@@ -141,20 +128,17 @@ void HandleJoin(ProtocolContext& ctx, chord::Node& node,
         // catch-up only owes pairs whose tuple was stored (by replay or
         // reordering) before the join got here — the strictly newer
         // ones. Admitting older ones too would merely duplicate.
-        const bool same = t2.pub_time() == entry.trigger_pub &&
-                          t2.seq() == entry.trigger_seq;
-        if (same || t2.Before(entry.trigger_pub, entry.trigger_seq)) {
-          continue;
-        }
+        const bool same = t2.pub_time() == trigger.pub_time() &&
+                          t2.seq() == trigger.seq();
+        if (same || t2.Before(trigger.pub_time(), trigger.seq())) continue;
       }
       if (t2.pub_time() < q.insertion_time()) continue;
-      rel::Timestamp earlier = std::min(t2.pub_time(), entry.trigger_pub);
-      rel::Timestamp later = std::max(t2.pub_time(), entry.trigger_pub);
+      rel::Timestamp earlier = std::min(t2.pub_time(), trigger.pub_time());
+      rel::Timestamp later = std::max(t2.pub_time(), trigger.pub_time());
       if (!ctx.InWindow(earlier, later)) continue;
       if (!q.side(entry.remaining_side).SatisfiesPredicates(t2)) continue;
-      subscriber::EmitNotification(
-          ctx, node, q, MergeRow(entry.row, q, entry.remaining_side, t2),
-          earlier, later);
+      subscriber::EmitNotification(ctx, node, q, 1 - entry.remaining_side,
+                                   trigger, t2);
     }
   }
 }
@@ -181,8 +165,9 @@ void HandleTupleVl(ProtocolContext& ctx, chord::Node& node,
       for (const auto& [id, sr] : *bucket) {
         ++state.metrics.filter_ops_value;
         const query::ContinuousQuery& q = *sr.query;
+        const rel::Tuple& trigger = *sr.trigger;
         if (adaptive && !strategy.MatchesRewrittenOnTupleArrival() &&
-            !tuple->Before(sr.latest_trigger_pub, sr.latest_trigger_seq)) {
+            !tuple->Before(trigger.pub_time(), trigger.seq())) {
           // Adapt-only matching (DAI-Q): the base path pairs a tuple
           // with every strictly newer join when that join arrives, so
           // this catch-up only owes pairs whose join was stored before
@@ -191,14 +176,12 @@ void HandleTupleVl(ProtocolContext& ctx, chord::Node& node,
         }
         if (tuple->pub_time() < q.insertion_time()) continue;
         rel::Timestamp earlier =
-            std::min(tuple->pub_time(), sr.latest_trigger_pub);
-        rel::Timestamp later =
-            std::max(tuple->pub_time(), sr.latest_trigger_pub);
+            std::min(tuple->pub_time(), trigger.pub_time());
+        rel::Timestamp later = std::max(tuple->pub_time(), trigger.pub_time());
         if (!ctx.InWindow(earlier, later)) continue;
         if (!q.side(sr.remaining_side).SatisfiesPredicates(*tuple)) continue;
-        subscriber::EmitNotification(
-            ctx, node, q, MergeRow(sr.row, q, sr.remaining_side, *tuple),
-            earlier, later);
+        subscriber::EmitNotification(ctx, node, q, 1 - sr.remaining_side,
+                                     trigger, *tuple);
       }
     }
   }
@@ -231,48 +214,41 @@ void HandleDaivJoin(ProtocolContext& ctx, chord::Node& node,
   // Re-placement replays (known_split == 0) can deliver entries after
   // newer opposite-side entries were stored at the new shard, so the
   // strictly-older rule must relax for them: admit any non-identical
-  // pairing — duplicates collapse at the subscriber, misses cannot be
-  // repaired.
+  // pairing, since a missed pair cannot be repaired. A pair this forms a
+  // second time is delivered twice: the subscriber keeps duplicates
+  // (TakeNotifications returns both), and only set-based comparisons
+  // hide them (ROADMAP open item 1).
   const bool replay = adaptive && p.known_split == 0;
   const std::string& value_key =
       adaptive ? adapt::BaseValueOf(p.value_key) : p.value_key;
   for (const DaivEntry& entry : p.entries) {
     const query::ContinuousQuery& q = *entry.query;
+    const rel::Tuple& trigger = *entry.trigger;
     const int opposite = 1 - entry.trigger_side;
     const auto* bucket =
         state.evaluator.daiv.Find(value_key, DaivKey{q.key(), opposite});
     if (bucket != nullptr) {
       for (const DaivStored& stored : *bucket) {
         ++state.metrics.filter_ops_value;
+        const rel::Tuple& other = *stored.tuple;
         if (replay) {
-          if (stored.pub_time == entry.trigger_pub &&
-              stored.seq == entry.trigger_seq) {
+          if (other.pub_time() == trigger.pub_time() &&
+              other.seq() == trigger.seq()) {
             continue;
           }
-        } else {
-          // Strictly-older rule keeps each pair exactly-once.
-          bool older = stored.pub_time < entry.trigger_pub ||
-                       (stored.pub_time == entry.trigger_pub &&
-                        stored.seq < entry.trigger_seq);
-          if (!older) continue;
+        } else if (!other.Before(trigger.pub_time(), trigger.seq())) {
+          continue;  // Strictly-older rule keeps each pair exactly-once.
         }
-        rel::Timestamp earlier = std::min(stored.pub_time, entry.trigger_pub);
-        rel::Timestamp later = std::max(stored.pub_time, entry.trigger_pub);
+        rel::Timestamp earlier = std::min(other.pub_time(), trigger.pub_time());
+        rel::Timestamp later = std::max(other.pub_time(), trigger.pub_time());
         if (!ctx.InWindow(earlier, later)) continue;
-        RowTemplate merged = entry.row;
-        for (size_t i = 0; i < merged.size(); ++i) {
-          if (!merged[i].has_value() && stored.row[i].has_value()) {
-            merged[i] = stored.row[i];
-          }
-        }
-        subscriber::EmitNotification(ctx, node, q, std::move(merged),
-                                     earlier, later);
+        subscriber::EmitNotification(ctx, node, q, entry.trigger_side,
+                                     trigger, other);
       }
     }
-    state.evaluator.daiv.Insert(
-        value_key, DaivKey{q.key(), entry.trigger_side},
-        DaivStored{entry.row, entry.trigger_pub, entry.trigger_seq,
-                   entry.query});
+    state.evaluator.daiv.Insert(value_key,
+                                DaivKey{q.key(), entry.trigger_side},
+                                DaivStored{entry.trigger, entry.query});
   }
 }
 

@@ -7,12 +7,12 @@
 
 namespace contjoin::core {
 
-RewriteId RewriteIdOf(std::string_view query_key, int remaining_side,
-                      const RowTemplate& row,
+RewriteId RewriteIdOf(const query::ContinuousQuery& q, int remaining_side,
+                      const rel::Tuple& trigger,
                       const rel::Value& required_value) {
   SipHasher hasher(kRewriteIdKey0, kRewriteIdKey1);
   auto feed = [&hasher](std::string_view piece) { hasher.Update(piece); };
-  WriteRewrittenKey(feed, query_key, remaining_side, row, required_value);
+  WriteRewrittenKey(feed, q, remaining_side, trigger, required_value);
   return hasher.Finish();
 }
 

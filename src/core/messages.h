@@ -24,9 +24,11 @@
 
 namespace contjoin::core {
 
-/// A partially bound select-list row: positions of the already-triggered
-/// side are concrete; the remaining side's positions are empty until an
-/// evaluator joins them with a matching tuple.
+/// A partially bound select-list row: positions of the already-bound
+/// relations are concrete, the others empty until a matching tuple fills
+/// them. Multi-way partials and one-time-join projections carry one;
+/// two-way rewritten queries carry their trigger tuple instead and build
+/// a row only for a notification.
 using RowTemplate = std::vector<std::optional<rel::Value>>;
 
 // --- Rewritten-query identity (paper §4.3.3) ---------------------------------
@@ -48,34 +50,37 @@ inline constexpr uint64_t kRewriteIdKey1 = 0x2165746972776572ull;
 /// trigger side s = 1 - remaining_side (without it, symmetric value
 /// coincidences across the two sides of the join condition would collide):
 ///   Key(q) "|" s "|" ("\x1f" v)* "|" valDA
-/// where the v are the bound positions of `row` in select order and every
-/// value is in its canonical key form. The pieces go to `sink` one at a
-/// time, as std::string_views valid only during the call, so no key string
-/// is built. The fingerprinter (RewriteIdOf) and the kJoin codec (writing
-/// a frame, checking a decoded one) are the sinks; this is the only place
-/// the layout is written down.
+/// where the v are the trigger tuple's values of q's side-s select items,
+/// in select order, and every value is in its canonical key form. The
+/// pieces go to `sink` one at a time, as std::string_views valid only
+/// during the call, so no key string is built. The fingerprinter
+/// (RewriteIdOf) and the kJoin codec (writing a frame, checking a decoded
+/// one) are the sinks; this is the only place the layout is written down.
 // contjoin-check: hot
 template <typename Sink>
-void WriteRewrittenKey(Sink&& sink, std::string_view query_key,
-                       int remaining_side, const RowTemplate& row,
+void WriteRewrittenKey(Sink&& sink, const query::ContinuousQuery& q,
+                       int remaining_side, const rel::Tuple& trigger,
                        const rel::Value& required_value) {
+  const int trigger_side = 1 - remaining_side;
   rel::Value::KeyBuffer buf;
-  sink(query_key);
+  sink(std::string_view(q.key()));
   sink(std::string_view("|"));
-  sink(rel::Value::Int(1 - remaining_side).KeyChars(buf));
+  sink(rel::Value::Int(trigger_side).KeyChars(buf));
   sink(std::string_view("|"));
-  for (const std::optional<rel::Value>& v : row) {
-    if (!v.has_value()) continue;
+  for (const query::SelectItem& item : q.select()) {
+    if (item.ref.side != trigger_side) continue;
     sink(std::string_view("\x1f"));
-    sink(v->KeyChars(buf));
+    sink(trigger.at(item.ref.attr_index).KeyChars(buf));
   }
   sink(std::string_view("|"));
   sink(required_value.KeyChars(buf));
 }
 
-/// The id of the rewritten query with these fields.
-RewriteId RewriteIdOf(std::string_view query_key, int remaining_side,
-                      const RowTemplate& row, const rel::Value& required_value);
+/// The id of the rewritten query of `q` that `trigger` bound, still to
+/// match `required_value` on side `remaining_side`.
+RewriteId RewriteIdOf(const query::ContinuousQuery& q, int remaining_side,
+                      const rel::Tuple& trigger,
+                      const rel::Value& required_value);
 
 // --- Identifier derivation (paper §4.2/§4.3) ---------------------------------
 
@@ -178,18 +183,22 @@ struct TupleIndexPayload : CqPayload {
 };
 
 /// One rewritten query q' (paper §4.3.2): the original query reduced to a
-/// select-project query by substituting the trigger tuple's values.
+/// select-project query by substituting the trigger tuple's values. The
+/// substitution is late: the entry holds the trigger tuple itself, shared
+/// by every query it rewrote, and its side's select values are read from
+/// it only for a key, a frame or a notification.
 struct RewrittenEntry {
   query::QueryPtr query;
   int remaining_side = 0;        // DisR side, still to be matched.
-  /// RewriteIdOf(query key, remaining_side, row, required_value): set by
+  /// RewriteIdOf(query, remaining_side, trigger, required_value): set by
   /// the rewriter, by the kJoin decoder and by VLQT replays. The key
   /// Key(q') it fingerprints travels on the wire but is never stored.
   RewriteId rewritten_id;
   rel::Value required_value;     // valDA.
-  RowTemplate row;               // Trigger side's select values bound.
-  rel::Timestamp trigger_pub = 0;
-  uint64_t trigger_seq = 0;
+  /// The tuple of side 1 - remaining_side that triggered the rewrite: its
+  /// select values are the bound ones, its (pub, seq) the trigger time.
+  /// Never null. A decoded entry's tuple holds only the shipped values.
+  rel::TuplePtr trigger;
 };
 
 struct JoinPayload : CqPayload {
@@ -212,13 +221,14 @@ struct JoinPayload : CqPayload {
   uint64_t split_version = 0;
 };
 
-/// DAI-V rewritten query + projected trigger tuple (§4.5).
+/// DAI-V rewritten query + projected trigger tuple (§4.5). The projection
+/// t' is late, as in RewrittenEntry: the entry holds the trigger tuple,
+/// and only its side's select values reach the wire.
 struct DaivEntry {
   query::QueryPtr query;
   int trigger_side = 0;
-  RowTemplate row;        // Trigger side's select values bound.
-  rel::Timestamp trigger_pub = 0;
-  uint64_t trigger_seq = 0;
+  /// Never null; a decoded entry's tuple holds only the shipped values.
+  rel::TuplePtr trigger;
 };
 
 struct DaivJoinPayload : CqPayload {

@@ -107,11 +107,14 @@ struct PendingDaivJoin {
   std::shared_ptr<DaivJoinPayload> payload;
 };
 
-/// Rewrites the T1 query of `entry` triggered by `tuple` into a
+/// Rewrites the T1 query of `entry` triggered by `trigger` into a
 /// select-project query reindexed at the value level (§4.3.2/§4.3.3).
+/// The rewritten query binds the trigger side's select values by holding
+/// the tuple itself.
 void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
-               AlqtEntry& entry, const rel::Tuple& tuple,
+               AlqtEntry& entry, const rel::TuplePtr& trigger,
                std::map<std::string, PendingJoin>* out) {
+  const rel::Tuple& tuple = *trigger;
   const query::ContinuousQuery& q = *entry.query;
   const int s = entry.index_side;
   const int o = 1 - s;
@@ -134,15 +137,9 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
     return;
   }
 
-  // Bind the trigger side's select values (the generalized projection).
-  RowTemplate row(q.select().size());
-  for (size_t i = 0; i < q.select().size(); ++i) {
-    const query::SelectItem& item = q.select()[i];
-    if (item.ref.side == s) row[i] = tuple.at(item.ref.attr_index);
-  }
   // q' is named by Key(q') = Key(q) + bound select values + valDA
   // (§4.3.3); only its fingerprint is kept.
-  const RewriteId id = RewriteIdOf(q.key(), o, row, *val_da);
+  const RewriteId id = RewriteIdOf(q, o, tuple, *val_da);
 
   if (ctx.strategy().DeduplicatesRewrites(ctx.options())) {
     if (!state.rewriter.sent_rewritten_ids.Insert(id)) {
@@ -159,9 +156,7 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   rewritten.remaining_side = o;
   rewritten.rewritten_id = id;
   rewritten.required_value = *std::move(val_da);
-  rewritten.row = std::move(row);
-  rewritten.trigger_pub = tuple.pub_time();
-  rewritten.trigger_seq = tuple.seq();
+  rewritten.trigger = trigger;
 
   // Adaptive split fan: a hot value's rewritten queries go to every
   // virtual sub-key, so each shard can match the publications hashed
@@ -197,11 +192,13 @@ void RewriteT1(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   ++state.metrics.rewrites_sent;
 }
 
-/// DAI-V rewrite (§4.5): the trigger tuple's projection travels with the
-/// rewritten query to Hash(value) (or Hash(Key(q)+value)).
+/// DAI-V rewrite (§4.5): the trigger tuple travels with the rewritten
+/// query to Hash(value) (or Hash(Key(q)+value)); its projection is taken
+/// only where it reaches the wire or a notification.
 void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
-                 AlqtEntry& entry, const rel::Tuple& tuple,
+                 AlqtEntry& entry, const rel::TuplePtr& trigger,
                  std::map<std::string, PendingDaivJoin>* out) {
+  const rel::Tuple& tuple = *trigger;
   const query::ContinuousQuery& q = *entry.query;
   const int s = entry.index_side;
   auto val_jc = q.side(s).join_expr->EvalSingle(s, tuple);
@@ -209,18 +206,10 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
   if (val_jc.value().is_null()) return;  // Null join values never match.
   std::string value_key = val_jc.value().ToKeyString();
 
-  RowTemplate row(q.select().size());
-  for (size_t i = 0; i < q.select().size(); ++i) {
-    const query::SelectItem& item = q.select()[i];
-    if (item.ref.side == s) row[i] = tuple.at(item.ref.attr_index);
-  }
-
   DaivEntry daiv_entry;
   daiv_entry.query = entry.query;
   daiv_entry.trigger_side = s;
-  daiv_entry.row = std::move(row);
-  daiv_entry.trigger_pub = tuple.pub_time();
-  daiv_entry.trigger_seq = tuple.seq();
+  daiv_entry.trigger = trigger;
 
   // Adaptive split fan, side-aware: trigger-side-1 entries replicate to
   // every shard while trigger-side-0 entries hash to their sequence
@@ -250,10 +239,15 @@ void RewriteDaiv(ProtocolContext& ctx, chord::Node& node, NodeState& state,
       pending.payload->known_split = std::max(1, split);
       pending.payload->split_version = split_version;
     }
-    pending.payload->entries.push_back(daiv_entry);
     if (EvaluatorsHoldQueryState(ctx.options())) {
       entry.AddEvaluator(pending.vindex);
     }
+    // The last shard takes the entry itself; earlier ones copy it.
+    if (shard + 1 == shards.last) {
+      pending.payload->entries.push_back(std::move(daiv_entry));
+      break;
+    }
+    pending.payload->entries.push_back(daiv_entry);
   }
   ++state.metrics.rewrites_sent;
 }
@@ -330,9 +324,9 @@ void HandleTupleAl(ProtocolContext& ctx, chord::Node& node,
       if (tuple.pub_time() < q.insertion_time()) continue;
       if (!q.side(entry.index_side).SatisfiesPredicates(tuple)) continue;
       if (strategy.RewritesToDaiv()) {
-        RewriteDaiv(ctx, node, state, entry, tuple, &daiv_joins);
+        RewriteDaiv(ctx, node, state, entry, p.tuple, &daiv_joins);
       } else {
-        RewriteT1(ctx, node, state, entry, tuple, &t1_joins);
+        RewriteT1(ctx, node, state, entry, p.tuple, &t1_joins);
       }
     }
   }

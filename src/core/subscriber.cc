@@ -139,17 +139,18 @@ void FlushDigests(ProtocolContext& ctx, chord::Node& evaluator) {
 }  // namespace
 
 void EmitNotification(ProtocolContext& ctx, chord::Node& evaluator,
-                      const query::ContinuousQuery& q, RowTemplate merged,
-                      rel::Timestamp earlier, rel::Timestamp later) {
+                      const query::ContinuousQuery& q, int trigger_side,
+                      const rel::Tuple& trigger, const rel::Tuple& matched) {
   Notification n;
   n.query_key = q.key();
-  n.row.reserve(merged.size());
-  for (auto& v : merged) {
-    CJ_CHECK(v.has_value()) << "incomplete notification row for " << q.key();
-    n.row.push_back(std::move(*v));
+  n.row.reserve(q.select().size());
+  for (const query::SelectItem& item : q.select()) {
+    const rel::Tuple& source =
+        item.ref.side == trigger_side ? trigger : matched;
+    n.row.push_back(source.at(item.ref.attr_index));
   }
-  n.earlier_pub = earlier;
-  n.later_pub = later;
+  n.earlier_pub = std::min(trigger.pub_time(), matched.pub_time());
+  n.later_pub = std::max(trigger.pub_time(), matched.pub_time());
   n.created_at = ctx.now();
   ++ctx.StateOf(evaluator).metrics.notifications_created;
   DeliverNotification(ctx, evaluator, q.subscriber_key(), q.subscriber_id(),

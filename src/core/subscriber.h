@@ -55,10 +55,12 @@ struct State {
   uint64_t inflight = 0;
 };
 
-/// Builds a notification from a completed row and delivers it (§4.6).
+/// Builds the notification of the pair (`trigger` on side `trigger_side`
+/// of `q`, `matched` on the other side) and delivers it (§4.6). Its row is
+/// written once, straight from the two tuples.
 void EmitNotification(ProtocolContext& ctx, chord::Node& evaluator,
-                      const query::ContinuousQuery& q, RowTemplate merged,
-                      rel::Timestamp earlier, rel::Timestamp later);
+                      const query::ContinuousQuery& q, int trigger_side,
+                      const rel::Tuple& trigger, const rel::Tuple& matched);
 void EmitMwNotification(ProtocolContext& ctx, chord::Node& evaluator,
                         const query::MwQuery& q, const RowTemplate& row,
                         rel::Timestamp earlier, rel::Timestamp later);

@@ -189,12 +189,11 @@ size_t ValueLevelTable<Policy>::RemoveQuery(const std::string& query_key)
 
 namespace {
 
-/// Advances a stored rewritten query's trigger to (pub, seq) if newer.
-void Refresh(StoredRewritten& stored, rel::Timestamp pub, uint64_t seq) {
-  if (pub > stored.latest_trigger_pub ||
-      (pub == stored.latest_trigger_pub && seq > stored.latest_trigger_seq)) {
-    stored.latest_trigger_pub = pub;
-    stored.latest_trigger_seq = seq;
+/// Advances a stored rewritten query to trigger tuple `trigger` if it is
+/// newer.
+void Refresh(StoredRewritten& stored, const rel::TuplePtr& trigger) {
+  if (stored.trigger->Before(trigger->pub_time(), trigger->seq())) {
+    stored.trigger = trigger;
   }
 }
 
@@ -204,22 +203,18 @@ bool VlqtPolicy::Insert(Bucket& bucket, const RewrittenEntry& entry) {
   auto it = bucket.lower_bound(entry.rewritten_id);
   if (it != bucket.end() && it->first == entry.rewritten_id) {
     // Same rewritten query: only the trigger time advances (§4.3.3).
-    Refresh(it->second, entry.trigger_pub, entry.trigger_seq);
+    Refresh(it->second, entry.trigger);
     return false;
   }
-  bucket.emplace_hint(
-      it, entry.rewritten_id,
-      StoredRewritten{entry.query, entry.remaining_side, entry.required_value,
-                      entry.row, entry.trigger_pub, entry.trigger_seq});
+  bucket.emplace_hint(it, entry.rewritten_id,
+                      StoredRewritten{entry.query, entry.remaining_side,
+                                      entry.required_value, entry.trigger});
   return true;
 }
 
 bool VlqtPolicy::Insert(Bucket& bucket, Entry&& entry) {
   auto [it, is_new] = bucket.try_emplace(entry.first, std::move(entry.second));
-  if (!is_new) {
-    Refresh(it->second, entry.second.latest_trigger_pub,
-            entry.second.latest_trigger_seq);
-  }
+  if (!is_new) Refresh(it->second, entry.second.trigger);
   return is_new;
 }
 
@@ -236,7 +231,8 @@ bool VlttPolicy::Insert(Bucket& bucket, StoredTuple stored) {
 
 bool DaivPolicy::Insert(Bucket& bucket, DaivStored stored) {
   for (const DaivStored& existing : bucket) {
-    if (existing.seq == stored.seq) return false;  // Retried projection.
+    // Retried projection.
+    if (existing.tuple->seq() == stored.tuple->seq()) return false;
   }
   bucket.push_back(std::move(stored));
   return true;

@@ -185,14 +185,16 @@ class ValueLevelTable {
 /// A rewritten query stored at an evaluator. Identical rewritten queries
 /// (same Key(q'), hence same RewriteId) collapse into one entry whose
 /// trigger time advances (§4.3.3: "if there is a query with the same key,
-/// only pubT(t) is stored").
+/// only pubT(t) is stored"). The entry holds its latest trigger tuple,
+/// shared with every other query that tuple rewrote: its side's select
+/// values are the bound row, its (pub, seq) the trigger time. An advance
+/// swaps in the newer tuple, which binds the same row — the same id means
+/// the same Key(q').
 struct StoredRewritten {
   query::QueryPtr query;
   int remaining_side = 0;
   rel::Value required_value;
-  RowTemplate row;
-  rel::Timestamp latest_trigger_pub = 0;
-  uint64_t latest_trigger_seq = 0;
+  rel::TuplePtr trigger;  // Never null.
 };
 
 /// Value-level query table: level 1 keyed by the load-distributing
@@ -214,9 +216,9 @@ struct VlqtPolicy {
   static bool Insert(Bucket& bucket, Entry&& entry);
 
   static rel::Timestamp TimeOf(const Entry& e) {
-    return e.second.latest_trigger_pub;
+    return e.second.trigger->pub_time();
   }
-  static uint64_t SeqOf(const Entry& e) { return e.second.latest_trigger_seq; }
+  static uint64_t SeqOf(const Entry& e) { return e.second.trigger->seq(); }
   static const std::string& QueryKeyOf(const Entry& e) {
     return e.second.query->key();
   }
@@ -256,16 +258,16 @@ using ValueLevelTupleTable = ValueLevelTable<VlttPolicy>;
 
 // --- DAI-V store -------------------------------------------------------------
 
-/// Projected tuple stored at a DAI-V evaluator on behalf of one side of one
+/// Trigger tuple stored at a DAI-V evaluator on behalf of one side of one
 /// query (§4.5: the evaluator stores t', the projection of the trigger
 /// tuple, and matches future opposite-side rewritten queries against it).
+/// The projection is late: the tuple is kept whole, shared with every
+/// other query it triggered, and projected only into a notification.
 struct DaivStored {
-  RowTemplate row;
-  rel::Timestamp pub_time = 0;
-  uint64_t seq = 0;
-  /// The query this projection was stored for; never null. Lets the
-  /// adaptive load manager re-send the entry as an ordinary kDaivJoin
-  /// when a split directive re-places the bucket.
+  rel::TuplePtr tuple;  // Never null.
+  /// The query this tuple was stored for; never null. Lets the adaptive
+  /// load manager re-send the entry as an ordinary kDaivJoin when a split
+  /// directive re-places the bucket.
   query::QueryPtr query;
 };
 
@@ -293,8 +295,8 @@ struct DaivPolicy {
   /// the bucket (replay-idempotent, like the other tables).
   static bool Insert(Bucket& bucket, DaivStored stored);
 
-  static rel::Timestamp TimeOf(const Entry& e) { return e.pub_time; }
-  static uint64_t SeqOf(const Entry& e) { return e.seq; }
+  static rel::Timestamp TimeOf(const Entry& e) { return e.tuple->pub_time(); }
+  static uint64_t SeqOf(const Entry& e) { return e.tuple->seq(); }
   static std::array<DaivKey, 2> KeysOf(const std::string& query_key) {
     return {DaivKey{query_key, 0}, DaivKey{query_key, 1}};
   }

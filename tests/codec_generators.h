@@ -1,7 +1,9 @@
 // Seeded random payload fields for the codec tests: strings (empty ones
 // included), values of every type with extreme integers, identifiers with
 // the zero and maximum sentinels, evaluator id lists, select rows with
-// unbound positions, tuples and parsed queries over a small catalog.
+// unbound positions, tuples, trigger tuples of a query's side (a
+// rewritten query's row is derived from one) and parsed queries over a
+// small catalog.
 
 #ifndef CONTJOIN_TESTS_CODEC_GENERATORS_H_
 #define CONTJOIN_TESTS_CODEC_GENERATORS_H_
@@ -107,6 +109,20 @@ class CodecGenerators {
       slot = RandomValue(rng);
     }
     return row;
+  }
+
+  /// A tuple of side `side`'s relation of `q`, every value drawn by
+  /// RandomValue: rewritten queries derive their bound row from it.
+  static rel::TuplePtr RandomTrigger(Rng& rng, const query::ContinuousQuery& q,
+                                     int side) {
+    const query::QuerySide& trigger_side = q.side(side);
+    std::vector<rel::Value> values;
+    for (size_t i = 0; i < trigger_side.schema->arity(); ++i) {
+      values.push_back(RandomValue(rng));
+    }
+    const rel::Timestamp pub_time = rng.Next();
+    return std::make_shared<const rel::Tuple>(
+        trigger_side.relation, std::move(values), pub_time, rng.Next());
   }
 
   static rel::TuplePtr RandomTuple(Rng& rng) {

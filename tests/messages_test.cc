@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -195,24 +196,26 @@ class CodecRoundTripTest : public ::testing::Test, protected CodecGenerators {
 
   /// A fixed kJoin frame: four entries covering int, double (integral and
   /// not), string and null values, bound and unbound select positions and
-  /// both trigger sides.
+  /// both trigger sides. Each trigger tuple holds its select value and
+  /// nulls elsewhere.
   chord::HopFrame FixedJoinFrame() {
     Rng rng(2006);
     const char* rs = "SELECT R.a, S.b FROM R, S WHERE R.b = S.a";
     const char* da =
         "SELECT Doc.id, Auth.id FROM Doc, Auth WHERE Doc.title = Auth.name";
+    const rel::Value null = rel::Value::Null();
     struct Spec {
       const char* sql;
       int remaining_side;
       rel::Value required;
-      RowTemplate row;
+      std::vector<rel::Value> trigger;
     };
     const Spec specs[] = {
-        {rs, 1, rel::Value::Int(7), {rel::Value::Int(-3), std::nullopt}},
-        {da, 0, rel::Value::Str("ann"), {std::nullopt, rel::Value::Str("x y")}},
+        {rs, 1, rel::Value::Int(7), {rel::Value::Int(-3), null, null}},
+        {da, 0, rel::Value::Str("ann"), {null, rel::Value::Str("x y")}},
         {rs, 0, rel::Value::Double(2.0),
-         {std::nullopt, rel::Value::Double(0.25)}},
-        {rs, 1, rel::Value::Double(-1.5), {rel::Value::Null(), std::nullopt}},
+         {null, rel::Value::Double(0.25), null}},
+        {rs, 1, rel::Value::Double(-1.5), {null, null, null}},
     };
     auto p = std::make_shared<JoinPayload>();
     p->level1 = "S+a";
@@ -222,10 +225,11 @@ class CodecRoundTripTest : public ::testing::Test, protected CodecGenerators {
       e.query = MakeQuery(rng, spec.sql);
       e.remaining_side = spec.remaining_side;
       e.required_value = spec.required;
-      e.row = spec.row;
-      e.trigger_pub = rng.Next();
-      e.trigger_seq = rng.Next();
-      e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+      const rel::Timestamp pub_time = rng.Next();
+      e.trigger = std::make_shared<const rel::Tuple>(
+          e.query->side(1 - e.remaining_side).relation, spec.trigger, pub_time,
+          rng.Next());
+      e.rewritten_id = RewriteIdOf(*e.query, e.remaining_side, *e.trigger,
                                    e.required_value);
       p->entries.push_back(std::move(e));
     }
@@ -293,9 +297,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         e.query = RandomQuery(rng);
         e.remaining_side = static_cast<int>(rng.NextBelow(2));
         e.required_value = RandomValue(rng);
-        e.row = RandomRow(rng);
-        e.trigger_pub = rng.Next();
-        e.trigger_seq = rng.Next();
+        e.trigger = RandomTrigger(rng, *e.query, 1 - e.remaining_side);
         p.entries.push_back(std::move(e));
       }
       p.rewriter = RandomId(rng);
@@ -312,9 +314,7 @@ TEST_F(CodecRoundTripTest, AllPayloadTypesSurviveSeededRoundTrips) {
         DaivEntry e;
         e.query = RandomQuery(rng);
         e.trigger_side = static_cast<int>(rng.NextBelow(2));
-        e.row = RandomRow(rng);
-        e.trigger_pub = rng.Next();
-        e.trigger_seq = rng.Next();
+        e.trigger = RandomTrigger(rng, *e.query, e.trigger_side);
         p.entries.push_back(std::move(e));
       }
       p.rewriter = RandomId(rng);
@@ -499,12 +499,16 @@ TEST_F(CodecRoundTripTest, EmptyStringsAndSentinelIdsSurvive) {
   p.level1 = "";
   p.value_key = "";
   RewrittenEntry e;
-  e.query = RandomQuery(rng);
+  e.query = MakeQuery(rng,
+                      "SELECT Auth.id, Doc.id, Doc.title FROM Doc, Auth "
+                      "WHERE Doc.title = Auth.name");
   e.remaining_side = 1;
   // Key(q') is rendered from the fields, so it cannot be empty: here it is
   // "<query key>|0|\x1f|\x1f<null>|".
   e.required_value = rel::Value::Str("");
-  e.row = {std::nullopt, rel::Value::Str(""), rel::Value::Null()};
+  e.trigger = std::make_shared<const rel::Tuple>(
+      "Doc", std::vector<rel::Value>{rel::Value::Str(""), rel::Value::Null()},
+      0, 0);
   p.entries.push_back(std::move(e));
   p.rewriter = Uint160();       // "no rewriter" sentinel.
   p.vindex = Uint160::Max();    // Largest representable identifier.
@@ -533,11 +537,21 @@ TEST_F(CodecRoundTripTest, OutOfRangeSidesAreRefused) {
   RewrittenEntry e;
   e.query = RandomQuery(rng);
   e.remaining_side = 2;
-  e.row = {rel::Value::Int(1)};
+  e.trigger = RandomTrigger(rng, *e.query, 0);
   join.entries.push_back(e);
   EXPECT_TRUE(refused(join));
   join.entries[0].remaining_side = 1;
   EXPECT_FALSE(refused(join));
+
+  DaivJoinPayload daiv;
+  DaivEntry d;
+  d.query = e.query;
+  d.trigger_side = 2;
+  d.trigger = e.trigger;
+  daiv.entries.push_back(d);
+  EXPECT_TRUE(refused(daiv));
+  daiv.entries[0].trigger_side = 0;
+  EXPECT_FALSE(refused(daiv));
 
   MigrateBucketPayload bucket;
   bucket.queries.emplace_back(RandomQuery(rng), 2);
@@ -816,7 +830,7 @@ TEST_F(CodecRoundTripTest, SizingAFrameTwiceGivesTheSameNumber) {
   p->value_key = RandomString(rng);
   DaivEntry e;
   e.query = RandomQuery(rng);
-  e.row = RandomRow(rng);
+  e.trigger = RandomTrigger(rng, *e.query, e.trigger_side);
   p->entries.push_back(e);
   m.payload = p;
   frame.msgs.push_back(m);
@@ -899,6 +913,7 @@ TEST_F(CodecRoundTripTest, MalformedPayloadsAlwaysSizeToZero) {
   half_join->level1 = "S+a";
   RewrittenEntry good;
   good.query = RandomQuery(rng);
+  good.trigger = RandomTrigger(rng, *good.query, 1 - good.remaining_side);
   half_join->entries.push_back(good);
   half_join->entries.push_back(RewrittenEntry{});
 
@@ -1010,7 +1025,7 @@ TEST_F(CodecRoundTripTest, ForgedRewrittenKeyIsRefused) {
   for (const RewrittenEntry& e : p.entries) {
     std::string key;
     WriteRewrittenKey([&key](std::string_view piece) { key += piece; },
-                      e.query->key(), e.remaining_side, e.row,
+                      *e.query, e.remaining_side, *e.trigger,
                       e.required_value);
     // The key sits right after its u32 length prefix.
     std::string prefixed(4, '\0');
@@ -1031,6 +1046,240 @@ TEST_F(CodecRoundTripTest, ForgedRewrittenKeyIsRefused) {
           << "accepted key " << key << " with byte " << i << " flipped";
     }
   }
+}
+
+// --- Trigger tuples on the wire ---------------------------------------------
+
+/// A parsed query with fixed submission metadata.
+class TriggerWireTest : public CodecRoundTripTest {
+ protected:
+  query::QueryPtr FixedQuery(const char* sql, const char* key) {
+    StatusOr<query::ContinuousQuery> parsed = query::ParseQuery(sql, catalog_);
+    CJ_CHECK(parsed.ok());
+    query::ContinuousQuery q = std::move(parsed).value();
+    q.set_key(key);
+    q.set_subscriber_key("n3");
+    q.set_subscriber_ip(77);
+    q.set_insertion_time(5);
+    return std::make_shared<const query::ContinuousQuery>(std::move(q));
+  }
+
+  static rel::TuplePtr TupleOf(const char* relation,
+                               std::vector<rel::Value> values,
+                               rel::Timestamp pub_time, uint64_t seq) {
+    return std::make_shared<const rel::Tuple>(relation, std::move(values),
+                                              pub_time, seq);
+  }
+
+  /// `payload` routed as one message of a kRoute frame.
+  static chord::HopFrame FrameOf(chord::PayloadPtr payload) {
+    chord::HopFrame frame;
+    frame.kind = chord::HopFrame::Kind::kRoute;
+    frame.cls = sim::MsgClass::kRewrittenQuery;
+    frame.ttl = 12;
+    chord::AppMessage m;
+    m.target = Uint160::FromUint64(0xbeef);
+    m.cls = sim::MsgClass::kRewrittenQuery;
+    m.payload = std::move(payload);
+    frame.msgs.push_back(m);
+    return frame;
+  }
+
+  const char* const kT1Sql = "SELECT R.a, R.c, S.b FROM R, S WHERE R.b = S.a";
+  const char* const kT2Sql =
+      "SELECT R.a, S.b FROM R, S WHERE 2*R.a + R.b = S.a + S.c";
+};
+
+// Frames of a T1 query's rewritten queries (kJoin) and of a T2 query's
+// DAI-V entries (kDaivJoin), both trigger sides each, a null select value
+// in each. The hex is what the encoder wrote when entries still carried a
+// copied select row; built from the trigger tuples, the bytes are the
+// same, and they survive a decode and re-encode.
+TEST_F(TriggerWireTest, FramesBuiltFromTuplesKeepTheCopiedRowBytes) {
+  const query::QueryPtr t1 = FixedQuery(kT1Sql, "q-t1");
+  const query::QueryPtr t2 = FixedQuery(kT2Sql, "q-t2");
+  ASSERT_EQ(t2->type(), query::QueryType::kT2);
+  const rel::Value null = rel::Value::Null();
+
+  auto join = std::make_shared<JoinPayload>();
+  join->level1 = "S+a";
+  join->value_key = "9";
+  RewrittenEntry r_side;
+  r_side.query = t1;
+  r_side.remaining_side = 1;
+  r_side.required_value = rel::Value::Int(9);
+  r_side.trigger = TupleOf(
+      "R", {null, rel::Value::Int(9), rel::Value::Int(-4)}, 40, 12);
+  join->entries.push_back(r_side);
+  RewrittenEntry s_side;
+  s_side.query = t1;
+  s_side.remaining_side = 0;
+  s_side.required_value = rel::Value::Int(9);
+  s_side.trigger = TupleOf(
+      "S", {rel::Value::Int(9), rel::Value::Double(2.5), rel::Value::Int(1)},
+      41, 13);
+  join->entries.push_back(s_side);
+  join->rewriter = Uint160::FromUint64(5);
+  join->vindex = Uint160::FromUint64(6);
+  join->want_ack = true;
+  join->known_split = 2;
+  join->split_version = 3;
+
+  auto daiv = std::make_shared<DaivJoinPayload>();
+  daiv->value_key = "17";
+  DaivEntry r_daiv;
+  r_daiv.query = t2;
+  r_daiv.trigger_side = 0;
+  r_daiv.trigger =
+      TupleOf("R", {rel::Value::Int(5), rel::Value::Int(7), null}, 50, 20);
+  daiv->entries.push_back(r_daiv);
+  DaivEntry s_daiv;
+  s_daiv.query = t2;
+  s_daiv.trigger_side = 1;
+  s_daiv.trigger =
+      TupleOf("S", {rel::Value::Int(10), null, rel::Value::Int(7)}, 51, 21);
+  daiv->entries.push_back(s_daiv);
+  daiv->rewriter = Uint160::FromUint64(7);
+  daiv->vindex = Uint160::FromUint64(8);
+
+  const std::pair<chord::PayloadPtr, std::string> cases[] = {
+      {join,
+       "0100040c00000001000000000000000000000000000000000000000000beef04"
+       "0000000000000000000000000000000000000000000000000000000000030300"
+       "0000532b610100000039020000002e00000053454c45435420522e612c20522e"
+       "632c20532e622046524f4d20522c205320574845524520522e62203d20532e61"
+       "04000000712d7431020000006e334d0000000000000005000000000000000113"
+       "000000712d74317c307c1f3c6e756c6c3e1f2d347c3901090000000000000003"
+       "00000001000101fcffffffffffffff0028000000000000000c00000000000000"
+       "2e00000053454c45435420522e612c20522e632c20532e622046524f4d20522c"
+       "205320574845524520522e62203d20532e6104000000712d7431020000006e33"
+       "4d000000000000000500000000000000000d000000712d74317c317c1f322e35"
+       "7c39010900000000000000030000000000010200000000000004402900000000"
+       "0000000d00000000000000000000000000000000000000000000000000000500"
+       "0000000000000000000000000000000000000601020000000300000000000000"},
+      {daiv,
+       "0100040c00000001000000000000000000000000000000000000000000beef04"
+       "0000000000000000000000000000000000000000000000000000000000040200"
+       "00003137020000003700000053454c45435420522e612c20532e622046524f4d"
+       "20522c205320574845524520322a522e61202b20522e62203d20532e61202b20"
+       "532e6304000000712d7432020000006e334d0000000000000005000000000000"
+       "0000020000000101050000000000000000320000000000000014000000000000"
+       "003700000053454c45435420522e612c20532e622046524f4d20522c20532057"
+       "4845524520322a522e61202b20522e62203d20532e61202b20532e6304000000"
+       "712d7432020000006e334d000000000000000500000000000000010200000000"
+       "0100330000000000000015000000000000000000000000000000000000000000"
+       "0000000000070000000000000000000000000000000000000008000100000000"
+       "00000000000000"},
+  };
+  for (const auto& [payload, hex] : cases) {
+    const chord::HopFrame frame = FrameOf(payload);
+    const std::vector<uint8_t> bytes = EncodeHopFrame(frame);
+    EXPECT_EQ(Hex(bytes), hex);
+    EXPECT_EQ(EncodedFrameSize(frame), bytes.size());
+    chord::HopFrame out;
+    ASSERT_TRUE(DecodeHopFrame(bytes.data(), bytes.size(), catalog_, &out));
+    EXPECT_EQ(EncodeHopFrame(out), bytes);
+  }
+}
+
+// A kJoin or kDaivJoin row is the trigger tuple's projection onto the
+// query's select list. A row of another length, or one that binds an item
+// of the side still to be matched (or leaves a trigger-side item unbound),
+// is the projection of no tuple, so the decoder refuses it. The frames are
+// written by hand, with Key(q') spelled from the row as given, as an
+// encoder that copied rows could have written them.
+TEST_F(TriggerWireTest, RowsThatProjectNoTriggerTupleAreRefused) {
+  // Select items R.a, R.c, S.b; a trigger on side 0 binds the first two.
+  const query::QueryPtr q = FixedQuery(kT1Sql, "q");
+  auto write_query = [&](wire::Writer& w) {
+    w.Str(q->raw_sql());
+    w.Str(q->key());
+    w.Str(q->subscriber_key());
+    w.U64(q->subscriber_ip());
+    w.U64(q->insertion_time());
+  };
+  // Bound slots carry these ints; unbound ones are std::nullopt.
+  using Row = std::vector<std::optional<int64_t>>;
+  auto write_row = [](wire::Writer& w, const Row& row) {
+    w.U32(static_cast<uint32_t>(row.size()));
+    for (const std::optional<int64_t>& v : row) {
+      w.Bool(v.has_value());
+      if (!v.has_value()) continue;
+      w.U8(static_cast<uint8_t>(rel::ValueType::kInt));
+      w.I64(*v);
+    }
+    w.U64(30);  // pub
+    w.U64(4);   // seq
+  };
+  auto write_tail = [](wire::Writer& w) {
+    w.Id(Uint160());
+    w.Id(Uint160());
+    w.Bool(false);
+    w.U32(1);
+    w.U64(0);
+  };
+  auto join_bytes = [&](const Row& row) {
+    std::string key = q->key() + "|0|";
+    for (const std::optional<int64_t>& v : row) {
+      if (v.has_value()) key += "" + std::to_string(*v);
+    }
+    key += "|7";
+    wire::Writer w;
+    w.U8(static_cast<uint8_t>(CqMsgType::kJoin));
+    w.Str("S+a");
+    w.Str("7");
+    w.U32(1);
+    write_query(w);
+    w.U8(1);  // Remaining side.
+    w.Str(key);
+    w.U8(static_cast<uint8_t>(rel::ValueType::kInt));
+    w.I64(7);  // valDA.
+    write_row(w, row);
+    write_tail(w);
+    return w.bytes();
+  };
+  auto daiv_bytes = [&](const Row& row) {
+    wire::Writer w;
+    w.U8(static_cast<uint8_t>(CqMsgType::kDaivJoin));
+    w.Str("7");
+    w.U32(1);
+    write_query(w);
+    w.U8(0);  // Trigger side.
+    write_row(w, row);
+    write_tail(w);
+    return w.bytes();
+  };
+  auto decodes = [&](const std::vector<uint8_t>& bytes) {
+    wire::Reader r(bytes);
+    return PayloadCodec::Default().Decode(r, catalog_) != nullptr &&
+           r.AtEnd();
+  };
+
+  const Row projection = {1, 2, std::nullopt};
+  EXPECT_TRUE(decodes(join_bytes(projection)));
+  EXPECT_TRUE(decodes(daiv_bytes(projection)));
+  const Row not_projections[] = {
+      {1, 2, std::nullopt, std::nullopt},  // Too long.
+      {1, 2},                              // Too short.
+      {1, 2, 3},                           // Binds S.b.
+      {1, std::nullopt, std::nullopt},     // Leaves R.c unbound.
+  };
+  for (const Row& row : not_projections) {
+    EXPECT_FALSE(decodes(join_bytes(row))) << "kJoin row of " << row.size();
+    EXPECT_FALSE(decodes(daiv_bytes(row))) << "kDaivJoin row of " << row.size();
+  }
+
+  // The decoded trigger tuple holds the shipped values, null elsewhere.
+  const std::vector<uint8_t> bytes = daiv_bytes(projection);
+  wire::Reader r(bytes);
+  auto decoded = std::static_pointer_cast<const DaivJoinPayload>(
+      PayloadCodec::Default().Decode(r, catalog_));
+  ASSERT_NE(decoded, nullptr);
+  const rel::Tuple& trigger = *decoded->entries[0].trigger;
+  EXPECT_EQ(trigger.relation(), "R");
+  EXPECT_EQ(trigger.ToString(), "R(1, <null>, 2)");
+  EXPECT_EQ(trigger.pub_time(), 30u);
+  EXPECT_EQ(trigger.seq(), 4u);
 }
 
 }  // namespace

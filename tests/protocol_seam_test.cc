@@ -205,19 +205,18 @@ TEST(EvaluatorExpiry, DropsOnlyTuplesOlderThanCutoff) {
     e.query = q1;
     e.remaining_side = 1;
     e.required_value = rel::Value::Int(7);
-    e.row = {rel::Value::Int(bound), std::nullopt};
+    e.trigger = std::make_shared<const rel::Tuple>(
+        "R", std::vector<rel::Value>{rel::Value::Int(bound)}, pub, seq);
     e.rewritten_id =
-        RewriteIdOf("q1", e.remaining_side, e.row, e.required_value);
-    e.trigger_pub = pub;
-    e.trigger_seq = seq;
+        RewriteIdOf(*q1, e.remaining_side, *e.trigger, e.required_value);
     return e;
   };
   state.vltt.Insert("R+A", "7", stored_at(5, 1));
   state.vltt.Insert("R+A", "7", stored_at(50, 2));
   state.daiv.Insert("7", DaivKey{"q1", 0},
-                    DaivStored{{}, /*pub_time=*/5, /*seq=*/3, q1});
+                    DaivStored{stored_at(/*pub=*/5, /*seq=*/3).tuple, q1});
   state.daiv.Insert("7", DaivKey{"q1", 0},
-                    DaivStored{{}, /*pub_time=*/50, /*seq=*/4, q1});
+                    DaivStored{stored_at(/*pub=*/50, /*seq=*/4).tuple, q1});
   state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/5, /*seq=*/5, 1));
   state.vlqt.Insert("S+E", "7", rewritten_at(/*pub=*/50, /*seq=*/6, 2));
   // Refreshed past the cutoff: the refresh keeps it.
@@ -231,7 +230,7 @@ TEST(EvaluatorExpiry, DropsOnlyTuplesOlderThanCutoff) {
   const auto* rewritten = state.vlqt.Find("S+E", "7");
   ASSERT_NE(rewritten, nullptr);
   for (const auto& [id, stored] : *rewritten) {
-    EXPECT_GE(stored.latest_trigger_pub, 20u);
+    EXPECT_GE(stored.trigger->pub_time(), 20u);
   }
 
   // Survivors are the fresh ones.

@@ -133,8 +133,15 @@ TEST(FingerprintSetTest, TheEmptyMarkerIdIsAMemberLikeAnyOther) {
 class RewriteIdTest : public ::testing::Test, protected CodecGenerators {
  protected:
   static RewriteId IdOf(const RewrittenEntry& e) {
-    return RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+    return RewriteIdOf(*e.query, e.remaining_side, *e.trigger,
                        e.required_value);
+  }
+
+  /// A tuple of relation `relation` with `values`.
+  static rel::TuplePtr TupleOf(const char* relation,
+                               std::vector<rel::Value> values) {
+    return std::make_shared<const rel::Tuple>(relation, std::move(values), 1,
+                                              1);
   }
 
   /// The Key(q') string of the single entry of a kJoin payload, read back
@@ -168,7 +175,7 @@ TEST_F(RewriteIdTest, IdIsTheHashOfTheKeyTheCodecShips) {
       e.query = RandomQuery(rng);
       e.remaining_side = static_cast<int>(rng.NextBelow(2));
       e.required_value = RandomValue(rng);
-      e.row = RandomRow(rng);
+      e.trigger = RandomTrigger(rng, *e.query, 1 - e.remaining_side);
       e.rewritten_id = IdOf(e);
       p.entries.push_back(e);
 
@@ -192,22 +199,36 @@ TEST_F(RewriteIdTest, IdIsTheHashOfTheKeyTheCodecShips) {
 // Ids inherit the canonical value equality of the key string: an integral
 // double is the integer it equals, in the bound values and in valDA alike.
 TEST_F(RewriteIdTest, IntAndIntegralDoubleTriggersShareAnId) {
-  const RowTemplate as_int = {rel::Value::Int(2), std::nullopt};
-  const RowTemplate as_double = {rel::Value::Double(2.0), std::nullopt};
-  EXPECT_EQ(RewriteIdOf("q1", 1, as_int, rel::Value::Int(5)),
-            RewriteIdOf("q1", 1, as_double, rel::Value::Double(5.0)));
-  EXPECT_NE(RewriteIdOf("q1", 1, as_int, rel::Value::Int(5)),
-            RewriteIdOf("q1", 1, {rel::Value::Double(2.5), std::nullopt},
+  Rng rng(1);
+  const query::QueryPtr q =
+      MakeQuery(rng, "SELECT R.a, S.b FROM R, S WHERE R.b = S.a");
+  const rel::Value null = rel::Value::Null();
+  const auto as_int = TupleOf("R", {rel::Value::Int(2), null, null});
+  const auto as_double = TupleOf("R", {rel::Value::Double(2.0), null, null});
+  EXPECT_EQ(RewriteIdOf(*q, 1, *as_int, rel::Value::Int(5)),
+            RewriteIdOf(*q, 1, *as_double, rel::Value::Double(5.0)));
+  EXPECT_NE(RewriteIdOf(*q, 1, *as_int, rel::Value::Int(5)),
+            RewriteIdOf(*q, 1,
+                        *TupleOf("R", {rel::Value::Double(2.5), null, null}),
                         rel::Value::Int(5)));
 }
 
 TEST_F(RewriteIdTest, OppositeTriggerSidesGiveDifferentIds) {
-  const RowTemplate row = {rel::Value::Int(2), rel::Value::Int(2)};
-  EXPECT_NE(RewriteIdOf("q1", 0, row, rel::Value::Int(2)),
-            RewriteIdOf("q1", 1, row, rel::Value::Int(2)));
+  Rng rng(2);
+  const query::QueryPtr q =
+      MakeQuery(rng, "SELECT R.a, S.b FROM R, S WHERE R.b = S.a");
+  const rel::Value two = rel::Value::Int(2);
+  // Both triggers bind the row value 2.
+  EXPECT_NE(RewriteIdOf(*q, 0, *TupleOf("S", {two, two, two}), two),
+            RewriteIdOf(*q, 1, *TupleOf("R", {two, two, two}), two));
   // Moving a value between the bound row and valDA changes the id too.
-  EXPECT_NE(RewriteIdOf("q1", 1, {rel::Value::Str("ab")}, rel::Value::Str("")),
-            RewriteIdOf("q1", 1, {rel::Value::Str("a")}, rel::Value::Str("b")));
+  const query::QueryPtr doc = MakeQuery(
+      rng, "SELECT Doc.title FROM Doc, Auth WHERE Doc.title = Auth.name");
+  auto titled = [](const char* title) {
+    return TupleOf("Doc", {rel::Value::Null(), rel::Value::Str(title)});
+  };
+  EXPECT_NE(RewriteIdOf(*doc, 1, *titled("ab"), rel::Value::Str("")),
+            RewriteIdOf(*doc, 1, *titled("a"), rel::Value::Str("b")));
 }
 
 // --- DAI-T dedup, end to end -------------------------------------------------

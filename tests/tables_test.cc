@@ -42,12 +42,20 @@ class TablesTest : public ::testing::Test {
     e.query = std::move(q);
     e.remaining_side = 1;
     e.required_value = rel::Value::Int(7);
-    e.row = {rel::Value::Int(bound), std::nullopt};
-    e.rewritten_id = RewriteIdOf(e.query->key(), e.remaining_side, e.row,
+    e.trigger = std::make_shared<const rel::Tuple>(
+        "R",
+        std::vector<rel::Value>{rel::Value::Int(bound), rel::Value::Int(7)},
+        pub, seq);
+    e.rewritten_id = RewriteIdOf(*e.query, e.remaining_side, *e.trigger,
                                  e.required_value);
-    e.trigger_pub = pub;
-    e.trigger_seq = seq;
     return e;
+  }
+
+  /// A DAI-V trigger tuple of S with D = `d`.
+  static rel::TuplePtr DaivTuple(int64_t d, rel::Timestamp pub, uint64_t seq) {
+    return std::make_shared<const rel::Tuple>(
+        "S", std::vector<rel::Value>{rel::Value::Int(d), rel::Value::Int(25)},
+        pub, seq);
   }
 
   rel::Catalog catalog_;
@@ -123,8 +131,8 @@ TEST_F(TablesTest, VlqtDedupByRewrittenKey) {
   const auto* bucket = vlqt.Find("S+E", "7");
   ASSERT_NE(bucket, nullptr);
   // The duplicate only advanced the trigger time (§4.3.3).
-  EXPECT_EQ(bucket->at(first.rewritten_id).latest_trigger_pub, 20u);
-  EXPECT_EQ(bucket->at(second.rewritten_id).latest_trigger_pub, 15u);
+  EXPECT_EQ(bucket->at(first.rewritten_id).trigger->pub_time(), 20u);
+  EXPECT_EQ(bucket->at(second.rewritten_id).trigger->pub_time(), 15u);
 }
 
 TEST_F(TablesTest, VlqtRefreshNeverRewindsTime) {
@@ -133,7 +141,7 @@ TEST_F(TablesTest, VlqtRefreshNeverRewindsTime) {
   const RewrittenEntry later = MakeEntry(q, 1, 20, 5);
   vlqt.Insert("S+E", "7", later);
   vlqt.Insert("S+E", "7", MakeEntry(q, 1, 10, 1));
-  EXPECT_EQ(vlqt.Find("S+E", "7")->at(later.rewritten_id).latest_trigger_pub,
+  EXPECT_EQ(vlqt.Find("S+E", "7")->at(later.rewritten_id).trigger->pub_time(),
             20u);
 }
 
@@ -172,7 +180,7 @@ TEST_F(TablesTest, VlqtBucketIsOrderedByIdAndAbsorbsById) {
   vlqt.AbsorbBucket("S+E", "7", std::move(moved));
   EXPECT_EQ(vlqt.size(), 8u);
   const RewrittenEntry three = MakeEntry(q, 3, 0, 0);
-  EXPECT_EQ(vlqt.Find("S+E", "7")->at(three.rewritten_id).latest_trigger_pub,
+  EXPECT_EQ(vlqt.Find("S+E", "7")->at(three.rewritten_id).trigger->pub_time(),
             30u);
 }
 
@@ -202,12 +210,9 @@ TEST_F(TablesTest, DaivStoreSidesAreSeparate) {
   DaivStore store;
   auto q1 = MakeQuery("q1");
   auto q2 = MakeQuery("q2");
-  store.Insert("25", DaivKey{"q1", 0},
-               DaivStored{{rel::Value::Int(1)}, 10, 1, q1});
-  store.Insert("25", DaivKey{"q1", 1},
-               DaivStored{{rel::Value::Int(2)}, 11, 2, q1});
-  store.Insert("25", DaivKey{"q2", 0},
-               DaivStored{{rel::Value::Int(3)}, 12, 3, q2});
+  store.Insert("25", DaivKey{"q1", 0}, DaivStored{DaivTuple(1, 10, 1), q1});
+  store.Insert("25", DaivKey{"q1", 1}, DaivStored{DaivTuple(2, 11, 2), q1});
+  store.Insert("25", DaivKey{"q2", 0}, DaivStored{DaivTuple(3, 12, 3), q2});
   EXPECT_EQ(store.size(), 3u);
   ASSERT_NE(store.Find("25", DaivKey{"q1", 0}), nullptr);
   EXPECT_EQ(store.Find("25", DaivKey{"q1", 0})->size(), 1u);
@@ -219,9 +224,9 @@ TEST_F(TablesTest, DaivStoreSidesAreSeparate) {
 TEST_F(TablesTest, DaivStoreExpireAndRemove) {
   DaivStore store;
   auto q1 = MakeQuery("q1");
-  store.Insert("25", DaivKey{"q1", 0}, DaivStored{{}, 10, 1, q1});
-  store.Insert("25", DaivKey{"q1", 0}, DaivStored{{}, 30, 2, q1});
-  store.Insert("30", DaivKey{"q1", 1}, DaivStored{{}, 40, 3, q1});
+  store.Insert("25", DaivKey{"q1", 0}, DaivStored{DaivTuple(1, 10, 1), q1});
+  store.Insert("25", DaivKey{"q1", 0}, DaivStored{DaivTuple(1, 30, 2), q1});
+  store.Insert("30", DaivKey{"q1", 1}, DaivStored{DaivTuple(1, 40, 3), q1});
   EXPECT_EQ(store.ExpireBefore(20), 1u);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.RemoveQuery("q1"), 2u);

@@ -58,6 +58,14 @@ class Queries {
 // Each traits struct builds entry `n` of query `key` at time `pub`. Entries
 // with equal `n` are the same entry to the insert rule; `IdOf` recovers n.
 
+/// Trigger tuple `n` at time `pub`: R.A = n binds the select row, and the
+/// sequence number is n.
+rel::TuplePtr Trigger(int n, rel::Timestamp pub) {
+  return std::make_shared<const rel::Tuple>(
+      "R", std::vector<rel::Value>{rel::Value::Int(n), rel::Value::Int(7)},
+      pub, static_cast<uint64_t>(n));
+}
+
 struct VlqtTraits {
   using Policy = VlqtPolicy;
   using Table = ValueLevelQueryTable;
@@ -69,15 +77,13 @@ struct VlqtTraits {
     e.query = queries.Query(key);
     e.remaining_side = 1;
     e.required_value = rel::Value::Int(7);
-    e.row = {rel::Value::Int(n), std::nullopt};
+    e.trigger = Trigger(n, pub);
     e.rewritten_id =
-        RewriteIdOf(key, e.remaining_side, e.row, e.required_value);
-    e.trigger_pub = pub;
-    e.trigger_seq = static_cast<uint64_t>(n);
+        RewriteIdOf(*e.query, e.remaining_side, *e.trigger, e.required_value);
     return e;
   }
   static uint64_t IdOf(const VlqtPolicy::Entry& e) {
-    return e.second.latest_trigger_seq;
+    return e.second.trigger->seq();
   }
 };
 
@@ -107,10 +113,9 @@ struct DaivTraits {
   static DaivKey Key(const std::string& s) { return DaivKey{s, 1}; }
   static DaivStored Make(Queries& queries, const std::string& key, int n,
                          rel::Timestamp pub) {
-    return DaivStored{{rel::Value::Int(n)}, pub, static_cast<uint64_t>(n),
-                      queries.Query(key)};
+    return DaivStored{Trigger(n, pub), queries.Query(key)};
   }
-  static uint64_t IdOf(const DaivStored& e) { return e.seq; }
+  static uint64_t IdOf(const DaivStored& e) { return e.tuple->seq(); }
 };
 
 struct MwTraits {
