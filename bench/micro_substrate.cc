@@ -1,7 +1,8 @@
 // M1 — google-benchmark micro-benchmarks of the substrate hot paths: SHA-1
 // identifier derivation, 160-bit ring arithmetic, Chord lookups and the
-// per-hop routing decision and id resolution, local table operations, Zipf
-// sampling and query parsing. Not a paper figure;
+// per-hop routing decision and id resolution, the simulator's event queue,
+// local table operations, Zipf sampling and query parsing. Not a paper
+// figure;
 // establishes that the simulator is fast enough for the figure sweeps.
 
 #include <benchmark/benchmark.h>
@@ -88,6 +89,52 @@ void BM_FindById(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FindById)->Arg(1024)->Arg(10000);
+
+// One scheduled event, end to end: schedule, queue, pop and run. Each of
+// range(0) pending events reschedules itself with a 16-byte closure, at
+// delay 1 (range(1) == 0: every tick is one batch of range(0) events) or
+// at a delay uniform over 1..2000 (range(1) == 1: most events wait beyond
+// the near future). `per_event` divides the time by the events run.
+class SelfRescheduling {
+ public:
+  SelfRescheduling(size_t pending, bool spread) : spread_(spread) {
+    for (size_t i = 0; i < pending; ++i) Schedule(i);
+  }
+  void Schedule(uint64_t token) {
+    const sim::SimTime delay =
+        spread_ ? static_cast<sim::SimTime>(rng_.NextInRange(1, 2000)) : 1;
+    sim_.Schedule(delay, [this, token] { Fire(token); });
+  }
+  void Fire(uint64_t token) {
+    ++events_;
+    Schedule(token);
+  }
+  sim::Simulator& sim() { return sim_; }
+  uint64_t events() const { return events_; }
+
+ private:
+  sim::Simulator sim_;
+  Rng rng_{9};
+  bool spread_;
+  uint64_t events_ = 0;
+};
+
+void BM_SimulatorEvent(benchmark::State& state) {
+  const bool spread = state.range(1) != 0;
+  SelfRescheduling driver(static_cast<size_t>(state.range(0)), spread);
+  // About one event per pending event per iteration either way.
+  const sim::SimTime ticks = spread ? 1000 : 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        driver.sim().RunUntil(driver.sim().Now() + ticks));
+  }
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(driver.events()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulatorEvent)
+    ->ArgsProduct({{200, 2000, 20000}, {0, 1}})
+    ->ArgNames({"pending", "spread"});
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(100000, 0.9);

@@ -168,14 +168,16 @@ int Network::StabilizeUntilConsistent(int max_rounds) {
 
 void Network::ScheduleDelivery(Node* to, sim::SimTime latency,
                                HopFrame frame) {
-  simulator_->ScheduleSharded(
-      latency, to->serial(), [this, to, frame = std::move(frame)]() mutable {
-        if (!to->alive()) {
-          stats_.AddDrop(frame.cls);
-          return;
-        }
-        to->ApplyHop(std::move(frame));
-      });
+  auto deliver = [this, to, frame = std::move(frame)]() mutable {
+    if (!to->alive()) {
+      stats_.AddDrop(frame.cls);
+      return;
+    }
+    to->ApplyHop(std::move(frame));
+  };
+  static_assert(sizeof(deliver) <= sim::Action::kInlineSize,
+                "one event per hop: the delivery must not allocate");
+  simulator_->ScheduleSharded(latency, to->serial(), std::move(deliver));
 }
 
 void Network::TransmitFrame(Node* from, Node* to, HopFrame frame) {

@@ -116,6 +116,8 @@ class Reader {
   Uint160 Id();
 
   bool ok() const { return ok_; }
+  /// Marks the buffer malformed: a decoder read a field it cannot accept.
+  void Fail() { ok_ = false; }
   /// True iff every byte was consumed and no read ran short.
   bool AtEnd() const { return ok_ && pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }

@@ -45,7 +45,8 @@ rel::Value ReadValue(wire::Reader& r) {
     case rel::ValueType::kString:
       return rel::Value::Str(r.Str());
   }
-  return rel::Value::Null();  // Unknown tag; the caller checks r.ok().
+  r.Fail();  // Unknown tag; the caller checks r.ok().
+  return rel::Value::Null();
 }
 
 /// Guards a decoded element count against the bytes actually present, so a

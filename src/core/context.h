@@ -12,7 +12,6 @@
 #define CONTJOIN_CORE_CONTEXT_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,7 +82,7 @@ class ProtocolContext {
   /// Runs `fn` after `delay` virtual time units (retry timers). The timer
   /// executes under `node`'s event shard, like a message delivered to it.
   virtual void ScheduleAfter(chord::Node& node, sim::SimTime delay,
-                             std::function<void()> fn) = 0;
+                             sim::Action fn) = 0;
   /// ScheduleAfter with a cancellation handle: once `*cancel` is set the
   /// timer is discarded without firing and without holding the virtual
   /// clock open to its deadline. Retry backoff timers use this so an acked
@@ -92,7 +91,7 @@ class ProtocolContext {
   /// that fires as a no-op is behaviourally equivalent, just slower).
   virtual void ScheduleAfterCancellable(chord::Node& node, sim::SimTime delay,
                                         sim::CancelToken cancel,
-                                        std::function<void()> fn) {
+                                        sim::Action fn) {
     (void)cancel;
     ScheduleAfter(node, delay, std::move(fn));
   }

@@ -27,19 +27,21 @@ ContinuousQueryNetwork::ContinuousQueryNetwork(Options options)
         [](const chord::HopFrame& frame) { return EncodedFrameSize(frame); });
   }
   nodes_ = network_.BuildIdealRing(options_.num_nodes);
-  for (chord::Node* node : nodes_) {
-    node->set_app(this);
-    states_.emplace(node, std::make_unique<NodeState>(options_.jfrt_capacity));
-    nodes_by_key_[node->key()] = node;
-  }
+  for (chord::Node* node : nodes_) AddNodeState(node);
 }
 
 ContinuousQueryNetwork::~ContinuousQueryNetwork() = default;
 
+void ContinuousQueryNetwork::AddNodeState(chord::Node* node) {
+  CJ_CHECK(node->serial() == states_.size()) << "node serials must be dense";
+  node->set_app(this);
+  states_.push_back(std::make_unique<NodeState>(options_.jfrt_capacity));
+  nodes_by_key_[node->key()] = node;
+}
+
 NodeState& ContinuousQueryNetwork::StateOf(chord::Node& node) {
-  auto it = states_.find(&node);
-  CJ_CHECK(it != states_.end()) << "node without engine state";
-  return *it->second;
+  CJ_CHECK(node.serial() < states_.size()) << "node without engine state";
+  return *states_[node.serial()];
 }
 
 void ContinuousQueryNetwork::Tick() {
@@ -73,8 +75,7 @@ std::vector<Notification> ContinuousQueryNetwork::TakeNotifications(
 
 size_t ContinuousQueryNetwork::PendingNotifications(size_t node_index) const {
   CJ_CHECK(node_index < nodes_.size());
-  auto it = states_.find(nodes_[node_index]);
-  return it->second->subscriber.inbox.size();
+  return states_[nodes_[node_index]->serial()]->subscriber.inbox.size();
 }
 
 void ContinuousQueryNetwork::DisconnectNode(size_t node_index) {
@@ -185,10 +186,8 @@ chord::Node* ContinuousQueryNetwork::JoinNewNodeInternal() {
       "churn-" + std::to_string(churn_join_serial_++));
   node->SetAliveDirect(true);
   network_.OnNodeBirth();
-  node->set_app(this);
-  states_.emplace(node, std::make_unique<NodeState>(options_.jfrt_capacity));
+  AddNodeState(node);
   nodes_.push_back(node);
-  nodes_by_key_[node->key()] = node;
   return node;
 }
 
@@ -398,13 +397,13 @@ void ContinuousQueryNetwork::RefreshIndexes() {
 
 const NodeMetrics& ContinuousQueryNetwork::metrics(size_t node_index) const {
   CJ_CHECK(node_index < nodes_.size());
-  return states_.find(nodes_[node_index])->second->metrics;
+  return states_[nodes_[node_index]->serial()]->metrics;
 }
 
 NodeStorage ContinuousQueryNetwork::storage(size_t node_index) const {
   CJ_CHECK(node_index < nodes_.size());
   const chord::Node* node = nodes_[node_index];
-  const NodeState& state = *states_.find(node)->second;
+  const NodeState& state = *states_[node->serial()];
   NodeStorage out;
   out.alqt_queries = state.rewriter.alqt.size();
   out.vlqt_rewritten = state.evaluator.vlqt.size();
@@ -418,7 +417,7 @@ NodeStorage ContinuousQueryNetwork::storage(size_t node_index) const {
 
 const NodeState* ContinuousQueryNetwork::state(size_t node_index) const {
   CJ_CHECK(node_index < nodes_.size());
-  return states_.find(nodes_[node_index])->second.get();
+  return states_[nodes_[node_index]->serial()].get();
 }
 
 namespace {
@@ -461,8 +460,7 @@ LoadDistribution ContinuousQueryNetwork::StorageLoadDistribution() const {
 
 NodeMetrics ContinuousQueryNetwork::TotalMetrics() const {
   NodeMetrics total;
-  // contjoin-check: ordered-ok(commutative accumulation of counters)
-  for (const auto& [node, state] : states_) total.Accumulate(state->metrics);
+  for (const auto& state : states_) total.Accumulate(state->metrics);
   return total;
 }
 
@@ -473,8 +471,7 @@ NodeStorage ContinuousQueryNetwork::TotalStorage() const {
 }
 
 void ContinuousQueryNetwork::ResetLoadMetrics() {
-  // contjoin-check: ordered-ok(independent per-node reset, no emission)
-  for (auto& [node, state] : states_) state->metrics.Reset();
+  for (auto& state : states_) state->metrics.Reset();
   network_.stats().Reset();
 }
 
@@ -484,8 +481,7 @@ size_t ContinuousQueryNetwork::PruneExpired() {
   rel::Timestamp cutoff =
       now_time > options_.window ? now_time - options_.window : 0;
   size_t dropped = 0;
-  // contjoin-check: ordered-ok(commutative sum of per-node expiry counts)
-  for (auto& [node, state] : states_) {
+  for (auto& state : states_) {
     dropped += evaluator::ExpireBefore(state->evaluator, cutoff);
   }
   return dropped;

@@ -272,12 +272,12 @@ class ContinuousQueryNetwork : public chord::Application,
     return ((from.serial() + 1) << 32) | ++StateOf(from).next_reliable_seq;
   }
   void ScheduleAfter(chord::Node& node, sim::SimTime delay,
-                     std::function<void()> fn) override {
+                     sim::Action fn) override {
     simulator_.ScheduleSharded(delay, node.serial(), std::move(fn));
   }
   void ScheduleAfterCancellable(chord::Node& node, sim::SimTime delay,
                                 sim::CancelToken cancel,
-                                std::function<void()> fn) override {
+                                sim::Action fn) override {
     simulator_.ScheduleCancellable(delay, node.serial(), std::move(cancel),
                                    std::move(fn));
   }
@@ -310,6 +310,8 @@ class ContinuousQueryNetwork : public chord::Application,
   void ProcessChurnDue();
   void CrashNodeInternal(chord::Node* node);
   chord::Node* JoinNewNodeInternal();
+  /// Registers a node the network just created: state, app hook, key.
+  void AddNodeState(chord::Node* node);
   chord::Node* FirstAliveNode() const;
 
   /// Resolves the entry node for a client operation after Tick(): the
@@ -336,7 +338,10 @@ class ContinuousQueryNetwork : public chord::Application,
   Rng rng_;
 
   std::vector<chord::Node*> nodes_;
-  std::unordered_map<const chord::Node*, std::unique_ptr<NodeState>> states_;
+  /// Engine state per node, indexed by Node::serial(). Serials are dense:
+  /// the network numbers nodes in creation order and every node it
+  /// creates gets its state here (AddNodeState checks it).
+  std::vector<std::unique_ptr<NodeState>> states_;
   std::unordered_map<std::string, chord::Node*> nodes_by_key_;
   /// Live submitted queries by key (subscriber-side bookkeeping), each
   /// with its serial in submission_log_.

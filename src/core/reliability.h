@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,8 +53,9 @@ struct State {
   std::map<uint64_t, PendingSend> pending;
   /// Receiver side: ids already processed here (dedup set). Bounded: ids
   /// are retired once the origin's whole retry window has lapsed (no
-  /// retransmission can still be in flight), via the companion queue.
-  std::set<uint64_t> seen;
+  /// retransmission can still be in flight), via the companion queue,
+  /// which also gives the retirement order; the set is only probed.
+  std::unordered_set<uint64_t> seen;
   /// (first-seen time, id) in arrival order, driving the retirement scan.
   std::deque<std::pair<sim::SimTime, uint64_t>> seen_by_time;
 };

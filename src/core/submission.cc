@@ -362,8 +362,7 @@ StatusOr<std::vector<Notification>> ContinuousQueryNetwork::OneTimeJoin(
   std::vector<Notification> results = std::move(otj_results_[otj_id]);
   otj_results_.erase(otj_id);
   // Drop the temporary collector buffers of this execution.
-  // contjoin-check: ordered-ok(independent per-node erase, no emission)
-  for (auto& [node, state] : states_) state->otj.buffers.erase(otj_id);
+  for (auto& state : states_) state->otj.buffers.erase(otj_id);
   return results;
 }
 

@@ -560,6 +560,57 @@ TEST_F(CodecRoundTripTest, OutOfRangeSidesAreRefused) {
   EXPECT_FALSE(refused(bucket));
 }
 
+// A value tag outside rel::ValueType is corrupt input, not a null: the
+// decoder refuses it, whether bytes would be left over (a corrupted int
+// tag leaves its 8 payload bytes unread) or not (a corrupted null tag on
+// a frame's last value).
+TEST_F(CodecRoundTripTest, UnknownValueTagsAreRefused) {
+  constexpr uint64_t kMarker = 0x1122334455667788;
+  const std::vector<uint8_t> marker = {0x88, 0x77, 0x66, 0x55,
+                                       0x44, 0x33, 0x22, 0x11};
+  // Offset of the tag byte just before the little-endian marker int.
+  auto int_tag_at = [&](const std::vector<uint8_t>& bytes) {
+    auto it = std::search(bytes.begin(), bytes.end(), marker.begin(),
+                          marker.end());
+    EXPECT_NE(it, bytes.end());
+    const size_t at = static_cast<size_t>(it - bytes.begin()) - 1;
+    EXPECT_EQ(bytes[at], static_cast<uint8_t>(rel::ValueType::kInt));
+    return at;
+  };
+
+  NotificationPayload n;
+  n.notification.query_key = "q";
+  n.notification.row = {rel::Value::Int(static_cast<int64_t>(kMarker))};
+  n.subscriber_key = "s";
+  wire::Writer w;
+  ASSERT_TRUE(PayloadCodec::Default().Encode(n, w));
+  std::vector<uint8_t> bytes = w.bytes();
+  bytes[int_tag_at(bytes)] = 9;
+  wire::Reader r(bytes);
+  EXPECT_EQ(PayloadCodec::Default().Decode(r, catalog_), nullptr);
+
+  // The same notification ending in a null, inside a hop frame: the
+  // corrupted null tag consumes exactly the bytes the null did.
+  n.notification.row.push_back(rel::Value::Null());
+  chord::HopFrame frame;
+  frame.kind = chord::HopFrame::Kind::kDeliver;
+  frame.cls = sim::MsgClass::kNotification;
+  chord::AppMessage msg;
+  msg.cls = sim::MsgClass::kNotification;
+  msg.payload = Borrow(n);
+  frame.msgs.push_back(std::move(msg));
+  std::vector<uint8_t> framed = EncodeHopFrame(frame);
+  ASSERT_FALSE(framed.empty());
+  chord::HopFrame decoded;
+  ASSERT_TRUE(
+      DecodeHopFrame(framed.data(), framed.size(), catalog_, &decoded));
+  const size_t null_tag = int_tag_at(framed) + 1 + marker.size();
+  ASSERT_EQ(framed[null_tag], static_cast<uint8_t>(rel::ValueType::kNull));
+  framed[null_tag] = 9;
+  EXPECT_FALSE(
+      DecodeHopFrame(framed.data(), framed.size(), catalog_, &decoded));
+}
+
 // Each moved ALQT entry decodes with its own evaluator ids, including an
 // entry with none and the sentinel identifiers.
 TEST_F(CodecRoundTripTest, MigrateBucketCarriesEntryEvaluators) {

@@ -78,8 +78,7 @@ class MockContext : public ProtocolContext {
   uint64_t NextReliableId(chord::Node&) override {
     return ++next_reliable_id;
   }
-  void ScheduleAfter(chord::Node&, sim::SimTime,
-                     std::function<void()> fn) override {
+  void ScheduleAfter(chord::Node&, sim::SimTime, sim::Action fn) override {
     scheduled.push_back(std::move(fn));
   }
 
@@ -95,7 +94,7 @@ class MockContext : public ProtocolContext {
   std::vector<chord::AppMessage> sent;
   std::vector<TransmitMessageRecord> transmitted;
   std::vector<Notification> inbox;
-  std::vector<std::function<void()>> scheduled;
+  std::vector<sim::Action> scheduled;
   uint64_t hops = 0;
   uint64_t next_reliable_id = 0;
 

@@ -79,8 +79,7 @@ class ReliabilityMockContext : public ProtocolContext {
   uint64_t NextReliableId(chord::Node&) override {
     return ++next_reliable_id;
   }
-  void ScheduleAfter(chord::Node&, sim::SimTime,
-                     std::function<void()> fn) override {
+  void ScheduleAfter(chord::Node&, sim::SimTime, sim::Action fn) override {
     scheduled.push_back(std::move(fn));
   }
 
@@ -96,7 +95,7 @@ class ReliabilityMockContext : public ProtocolContext {
   rel::Timestamp now_time = 0;
   std::vector<chord::AppMessage> sent;
   std::vector<TransmitMessageRecord> transmitted;
-  std::vector<std::function<void()>> scheduled;
+  std::vector<sim::Action> scheduled;
   uint64_t next_reliable_id = 0;
 
  private:
